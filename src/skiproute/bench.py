@@ -2,7 +2,8 @@
 
 Only decode steps count; prefill is excluded by construction because the
 generation loop times each incremental step separately with the monotonic
-performance clock. Warmup runs absorb cache effects and are discarded.
+performance clock. Warmup runs absorb cache effects and are discarded, and
+the configurations compared are run in turn rather than in blocks.
 """
 
 from __future__ import annotations
@@ -26,27 +27,35 @@ class TpotResult:
     decode_tokens: int
 
 
-def measure_tpot(run_fn: Callable[[], GenerationResult], n_runs: int = 5,
-                 warmup: int = 2) -> TpotResult:
-    """Run the generator repeatedly and average its per-step decode times."""
+def measure_tpot(run_fns: dict[str, Callable[[], GenerationResult]],
+                 n_runs: int = 5, warmup: int = 2) -> dict[str, TpotResult]:
+    """Average each generator's per-step decode times over repeated runs.
+
+    The generators take turns (A B C A B C ...), warmup rounds included,
+    so drift in the host's speed lands on every configuration alike
+    instead of on whichever one was timed in the slow stretch.
+    """
     if n_runs < 1:
         raise ConfigError(f"need at least one measured run, got {n_runs}")
     if warmup < 0:
         raise ConfigError(f"warmup count cannot be negative, got {warmup}")
     for _ in range(warmup):
-        run_fn()
-    per_run = []
-    total_tokens = 0
+        for run_fn in run_fns.values():
+            run_fn()
+    per_run: dict[str, list[float]] = {name: [] for name in run_fns}
+    tokens = dict.fromkeys(run_fns, 0)
     for _ in range(n_runs):
-        result = run_fn()
-        if not result.decode_times:
-            raise ConfigError(
-                "run produced no decode steps; generate at least two tokens")
-        per_run.append(sum(result.decode_times) / len(result.decode_times))
-        total_tokens += len(result.decode_times)
-    return TpotResult(per_run=tuple(per_run), mean=statistics.fmean(per_run),
-                      median=statistics.median(per_run),
-                      decode_tokens=total_tokens)
+        for name, run_fn in run_fns.items():
+            result = run_fn()
+            if not result.decode_times:
+                raise ConfigError(
+                    f"{name} run produced no decode steps; generate at least two tokens")
+            per_run[name].append(sum(result.decode_times) / len(result.decode_times))
+            tokens[name] += len(result.decode_times)
+    return {name: TpotResult(per_run=tuple(runs), mean=statistics.fmean(runs),
+                             median=statistics.median(runs),
+                             decode_tokens=tokens[name])
+            for name, runs in per_run.items()}
 
 
 @dataclass

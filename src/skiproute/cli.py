@@ -184,21 +184,16 @@ def cmd_bench(args) -> int:
                           else test[0][0])
     budget = max(2, _max_new(exp, args.max_new))
 
-    report = B.LatencyReport()
-    report.add("full", B.measure_tpot(
-        lambda: M.generate(config, weights, prompt, budget),
-        n_runs=args.runs, warmup=args.warmup))
+    runs = {"full": lambda: M.generate(config, weights, prompt, budget)}
     if args.skip:
-        report.add("skip", B.measure_tpot(
-            lambda: M.generate(config, weights, prompt, budget,
-                               skip_set=args.skip, prefill_skip=()),
-            n_runs=args.runs, warmup=args.warmup))
+        runs["skip"] = lambda: M.generate(config, weights, prompt, budget,
+                                          skip_set=args.skip, prefill_skip=())
     if args.routers:
         routers = _load_routers(args.routers)
-        report.add("routed", B.measure_tpot(
-            lambda: R.generate_with_routers(config, weights, routers,
-                                            prompt, budget)[0],
-            n_runs=args.runs, warmup=args.warmup))
+        runs["routed"] = lambda: R.generate_with_routers(
+            config, weights, routers, prompt, budget)[0]
+    report = B.LatencyReport(B.measure_tpot(runs, n_runs=args.runs,
+                                            warmup=args.warmup))
     for name, r in report.entries.items():
         rel = report.relative(name, "full")
         print(f"{name}: mean {r.mean * 1e3:.3f} ms/token, "
@@ -300,17 +295,12 @@ def cmd_compare(args) -> int:
     }
 
     bench_prompt = frame_prompt(pairs[0][0])
-    report = B.LatencyReport()
-    report.add("full", B.measure_tpot(
-        lambda: M.generate(config, weights, bench_prompt, budget),
-        n_runs=args.runs, warmup=args.warmup))
-    report.add("routed", B.measure_tpot(
-        lambda: run_routed(bench_prompt)[0],
-        n_runs=args.runs, warmup=args.warmup))
-    report.add("unified", B.measure_tpot(
-        lambda: M.generate(config, weights, bench_prompt, budget,
-                           skip_set=unified_skip, prefill_skip=()),
-        n_runs=args.runs, warmup=args.warmup))
+    report = B.LatencyReport(B.measure_tpot({
+        "full": lambda: M.generate(config, weights, bench_prompt, budget),
+        "routed": lambda: run_routed(bench_prompt)[0],
+        "unified": lambda: M.generate(config, weights, bench_prompt, budget,
+                                      skip_set=unified_skip, prefill_skip=()),
+    }, n_runs=args.runs, warmup=args.warmup))
 
     rows = []
     for name, outputs in methods.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -156,19 +156,6 @@ class KVCache:
         self.filled[layer_index] = hi
 
 
-_layer_invocations = 0
-
-
-def layer_invocations() -> int:
-    """How many layer branches have executed since the last reset."""
-    return _layer_invocations
-
-
-def reset_layer_invocations() -> None:
-    global _layer_invocations
-    _layer_invocations = 0
-
-
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     b, n, d = x.shape
     hd = d // n_heads
@@ -259,8 +246,6 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
     ``project`` lets callers wrap every weight application (low-rank
     adapters); it defaults to the plain projection.
     """
-    global _layer_invocations
-    _layer_invocations += 1
     if project is None:
         project = _plain_project
     if positions is None:
@@ -292,11 +277,14 @@ def _finish(weights: ModelWeights, h: Tensor) -> Tensor:
 
 def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
                  skip_set: Sequence[int] = (), cache: Optional[KVCache] = None,
-                 attn_mask: Optional[np.ndarray] = None, project=None) -> Tensor:
+                 attn_mask: Optional[np.ndarray] = None, project=None,
+                 hidden: Optional[list] = None) -> Tensor:
     """Logits for a token block; skipped layers pass the hidden state through.
 
     With a cache, the block continues the session: positions pick up at
-    ``cache.n_positions`` and executed layers append their K,V rows.
+    ``cache.n_positions`` and executed layers append their K,V rows. With
+    ``hidden``, the hidden state entering each executed layer is appended
+    to it (what the routers read at prefill).
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -312,6 +300,8 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     for i in range(config.n_layers):
         if i in skip:
             continue
+        if hidden is not None:
+            hidden.append(h)
         h = layer_forward(config, weights, i, h, attn_mask, cache, positions, project)
     if cache is not None:
         cache.n_positions += n
@@ -379,32 +369,27 @@ class GenerationResult:
     prefill_time: float = 0.0
 
 
-def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[int],
-             max_new_tokens: int, sampler: SamplerConfig = SamplerConfig(),
-             skip_set: Sequence[int] = (), rng: Optional[np.random.Generator] = None,
-             stop_at: Optional[int] = None, project=None,
-             prefill_skip: Optional[Sequence[int]] = None) -> GenerationResult:
-    """Autoregressive generation with a fixed skip set and per-step timing.
+def _generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[int],
+              max_new_tokens: int, prefill: Callable, sampler: SamplerConfig,
+              rng: Optional[np.random.Generator], stop_at: Optional[int],
+              project) -> tuple[GenerationResult, object]:
+    """The generation loop behind both fixed-skip and routed generation.
 
-    ``skip_set`` governs decoding; ``prefill_skip`` defaults to the same set
-    and can be passed as () to run a full prefill before skipped decoding.
-    The first new token comes from the prefill logits; every later token is
-    one timed decode step. ``decode_times`` therefore has one entry per
-    generated token after the first.
+    ``prefill(prompt)`` runs the (1, n) prompt and returns its logits, a
+    cache bound to the decode skip set, and whatever else the caller wants
+    back. The first new token comes from the prefill logits; every later
+    token is one timed decode step under ``cache.decode_skip``, so
+    ``decode_times`` has one entry per generated token after the first.
     """
     if max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be at least 1, got {max_new_tokens}")
     prompt = np.asarray(list(prompt_ids), dtype=np.int64)
     if prompt.size == 0:
         raise ShapeError("cannot generate from an empty prompt")
-    skip = frozenset(int(i) for i in skip_set)
-    pre_skip = skip if prefill_skip is None else frozenset(int(i) for i in prefill_skip)
 
     with T.no_grad():
-        cache = KVCache(config, batch_size=1, decode_skip=skip)
         t0 = time.perf_counter()
-        logits = forward_full(config, weights, prompt[None, :], skip_set=pre_skip,
-                              cache=cache, project=project)
+        logits, cache, extra = prefill(prompt[None, :])
         prefill_time = time.perf_counter() - t0
 
         out: list[int] = []
@@ -414,12 +399,36 @@ def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[in
         while len(out) < max_new_tokens and tok != stop_at \
                 and cache.n_positions < config.max_seq:
             t0 = time.perf_counter()
-            logits = decode_step(config, weights, np.array([[tok]]), cache, skip,
-                                 project=project)
+            logits = decode_step(config, weights, np.array([[tok]]), cache,
+                                 cache.decode_skip, project=project)
             tok = sample_token(logits.data[0, -1], sampler, rng)
             times.append(time.perf_counter() - t0)
             out.append(tok)
-    return GenerationResult(tokens=out, decode_times=times, prefill_time=prefill_time)
+    return GenerationResult(tokens=out, decode_times=times,
+                            prefill_time=prefill_time), extra
+
+
+def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[int],
+             max_new_tokens: int, sampler: SamplerConfig = SamplerConfig(),
+             skip_set: Sequence[int] = (), rng: Optional[np.random.Generator] = None,
+             stop_at: Optional[int] = None, project=None,
+             prefill_skip: Optional[Sequence[int]] = None) -> GenerationResult:
+    """Autoregressive generation with a fixed skip set and per-step timing.
+
+    ``skip_set`` governs decoding; ``prefill_skip`` defaults to the same set
+    and can be passed as () to run a full prefill before skipped decoding.
+    """
+    skip = frozenset(int(i) for i in skip_set)
+    pre_skip = skip if prefill_skip is None else frozenset(int(i) for i in prefill_skip)
+
+    def prefill(prompt):
+        cache = KVCache(config, batch_size=1, decode_skip=skip)
+        logits = forward_full(config, weights, prompt, skip_set=pre_skip,
+                              cache=cache, project=project)
+        return logits, cache, None
+
+    return _generate(config, weights, prompt_ids, max_new_tokens, prefill,
+                     sampler, rng, stop_at, project)[0]
 
 
 def delete_layers(weights: ModelWeights, drop: Sequence[int]) -> ModelWeights:

@@ -9,7 +9,6 @@ prefill and replays that frozen decision for every decode step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, MaskError, ShapeError
+# sample_token is unused here but stays importable from this module.
 from .model import (GenerationResult, KVCache, ModelConfig, ModelWeights,
                     SamplerConfig, sample_token)
 from .tensor import Tensor
@@ -167,26 +167,14 @@ def prefill(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
 
     with T.no_grad():
         cache = KVCache(config, batch_size=tokens.shape[0])
-        positions = np.arange(tokens.shape[1])
-        h = T.embedding(weights.embedding, tokens)
-        rhos: list[float] = []
-        for i in range(config.n_layers):
-            rho = unify_batch(router_probability(routers[i], h, attn_mask))
-            rhos.append(rho.item())
-            h = M.layer_forward(config, weights, i, h, attn_mask, cache,
-                                positions, project)
-        cache.n_positions = tokens.shape[1]
-        logits = M._finish(weights, h)
+        hs: list[Tensor] = []
+        logits = M.forward_full(config, weights, tokens, cache=cache,
+                                attn_mask=attn_mask, project=project, hidden=hs)
+        rhos = [unify_batch(router_probability(r, h, attn_mask)).item()
+                for r, h in zip(routers.routers, hs)]
     decision = SkipDecision.from_rhos(rhos)
     cache.decode_skip = decision.skip_set
     return logits, cache, decision
-
-
-def decode_with_decision(config: ModelConfig, weights: ModelWeights,
-                         tokens: np.ndarray, cache: KVCache,
-                         decision: SkipDecision, project=None) -> Tensor:
-    """One decode step under the frozen prefill decision; no router runs here."""
-    return M.decode_step(config, weights, tokens, cache, decision.skip_set, project)
 
 
 def generate_with_routers(config: ModelConfig, weights: ModelWeights,
@@ -197,29 +185,7 @@ def generate_with_routers(config: ModelConfig, weights: ModelWeights,
                           stop_at: Optional[int] = None, project=None
                           ) -> tuple[GenerationResult, SkipDecision]:
     """Routed generation: full prefill, then decoding under the frozen decision."""
-    if max_new_tokens < 1:
-        raise ConfigError(f"max_new_tokens must be at least 1, got {max_new_tokens}")
-    prompt = np.asarray(list(prompt_ids), dtype=np.int64)
-    if prompt.size == 0:
-        raise ShapeError("cannot generate from an empty prompt")
-
-    t0 = time.perf_counter()
-    logits, cache, decision = prefill(config, weights, routers, prompt[None, :],
-                                      project=project)
-    prefill_time = time.perf_counter() - t0
-
-    out: list[int] = []
-    times: list[float] = []
-    with T.no_grad():
-        tok = sample_token(logits.data[0, -1], sampler, rng)
-        out.append(tok)
-        while len(out) < max_new_tokens and tok != stop_at \
-                and cache.n_positions < config.max_seq:
-            t0 = time.perf_counter()
-            step = decode_with_decision(config, weights, np.array([[tok]]), cache,
-                                        decision, project)
-            tok = sample_token(step.data[0, -1], sampler, rng)
-            times.append(time.perf_counter() - t0)
-            out.append(tok)
-    result = GenerationResult(tokens=out, decode_times=times, prefill_time=prefill_time)
-    return result, decision
+    return M._generate(
+        config, weights, prompt_ids, max_new_tokens,
+        lambda prompt: prefill(config, weights, routers, prompt, project=project),
+        sampler, rng, stop_at, project)

@@ -377,16 +377,12 @@ def mean_hidden_per_layer(config: ModelConfig, weights: ModelWeights,
     toks = batch.tokens[:, :-1]
     pmask = batch.prompt_mask[:, :-1].astype(np.float64)
     counts = np.maximum(pmask.sum(axis=1), 1.0)[:, None]
-    out = np.zeros((config.n_layers, config.d_model))
+    hs: list[Tensor] = []
     with T.no_grad():
-        h = T.embedding(weights.embedding, toks)
-        positions = np.arange(toks.shape[1])
-        for i in range(config.n_layers):
-            pooled = (h.data * pmask[:, :, None]).sum(axis=1) / counts
-            out[i] = pooled.mean(axis=0)
-            h = M.layer_forward(config, weights, i, h, batch.attn[:, :-1],
-                                None, positions, None)
-    return out
+        M.forward_full(config, weights, toks, attn_mask=batch.attn[:, :-1],
+                       hidden=hs)
+    return np.stack([((h.data * pmask[:, :, None]).sum(axis=1) / counts).mean(axis=0)
+                     for h in hs])
 
 
 def warm_start_routers(config: ModelConfig, weights: ModelWeights,

@@ -512,10 +512,11 @@ def test_criterion_7_latency(caesar_rig):
         return lambda: M.generate(rig.config, rig.weights, prompt, 48,
                                   skip_set=skip, prefill_skip=())
 
-    base = B.measure_tpot(runner(frozenset()), n_runs=5, warmup=2)
-    skip2 = B.measure_tpot(runner(frozenset({6, 9})), n_runs=5, warmup=2)
-    skip4 = B.measure_tpot(runner(frozenset({3, 5, 7, 9})), n_runs=5,
-                           warmup=2)
+    tpot = B.measure_tpot({"base": runner(frozenset()),
+                           "skip2": runner(frozenset({6, 9})),
+                           "skip4": runner(frozenset({3, 5, 7, 9}))},
+                          n_runs=5, warmup=2)
+    base, skip2, skip4 = tpot["base"], tpot["skip2"], tpot["skip4"]
     r2 = skip2.median / base.median
     r4 = skip4.median / base.median
     elapsed = time.perf_counter() - t0
@@ -668,12 +669,9 @@ def test_criterion_10_stats_and_report_fidelity(tmp_path):
                     == oracle.winner.mask_string(2))
 
     fake_times = iter([[0.01, 0.01], [0.02, 0.02]] * 20)
-    report = B.LatencyReport()
-    report.add("full", B.measure_tpot(
-        lambda: SimpleNamespace(decode_times=next(fake_times)),
-        n_runs=2, warmup=0))
-    report.add("skip", B.measure_tpot(
-        lambda: SimpleNamespace(decode_times=next(fake_times)),
+    report = B.LatencyReport(B.measure_tpot(
+        {"full": lambda: SimpleNamespace(decode_times=next(fake_times)),
+         "skip": lambda: SimpleNamespace(decode_times=next(fake_times))},
         n_runs=2, warmup=0))
     latency_path = str(tmp_path / "latency.csv")
     B.write_latency_csv(latency_path, report, baseline="full")

@@ -227,6 +227,13 @@ def test_data_errors_exit_two(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_overlong_routed_prompt_exits_two(workdir, capsys):
+    assert main(["infer", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--prompt", "x" * 64, "--routers", workdir["routers"]]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds max_seq" in err and "Traceback" not in err
+
+
 def test_numerical_errors_exit_three(workdir, tmp_path, capsys):
     poisoned = tmp_path / "nan.bin"
     weights = BU.load_bundle(workdir["pre"]).weights

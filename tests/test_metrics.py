@@ -185,7 +185,7 @@ def fake_runner(times_per_call):
 
 def test_tpot_averages_decode_steps_only():
     run, calls = fake_runner([[0.01, 0.02], [0.02, 0.02], [0.03, 0.01]])
-    r = B.measure_tpot(run, n_runs=3, warmup=0)
+    r = B.measure_tpot({"a": run}, n_runs=3, warmup=0)["a"]
     assert r.per_run == pytest.approx((0.015, 0.02, 0.02))
     assert r.mean == pytest.approx((0.015 + 0.02 + 0.02) / 3)
     assert r.median == pytest.approx(0.02)
@@ -195,7 +195,7 @@ def test_tpot_averages_decode_steps_only():
 
 def test_tpot_discards_warmup_runs():
     run, calls = fake_runner([[10.0], [10.0], [0.01], [0.01], [0.01]])
-    r = B.measure_tpot(run, n_runs=3, warmup=2)
+    r = B.measure_tpot({"a": run}, n_runs=3, warmup=2)["a"]
     assert calls["n"] == 5
     assert r.mean == pytest.approx(0.01)
 
@@ -203,15 +203,31 @@ def test_tpot_discards_warmup_runs():
 def test_tpot_rejects_zero_decode_steps():
     run, _ = fake_runner([[]])
     with pytest.raises(ConfigError):
-        B.measure_tpot(run, n_runs=1, warmup=0)
+        B.measure_tpot({"a": run}, n_runs=1, warmup=0)
 
 
 def test_tpot_validates_run_counts():
     run, _ = fake_runner([[0.01]])
     with pytest.raises(ConfigError):
-        B.measure_tpot(run, n_runs=0)
+        B.measure_tpot({"a": run}, n_runs=0)
     with pytest.raises(ConfigError):
-        B.measure_tpot(run, warmup=-1)
+        B.measure_tpot({"a": run}, warmup=-1)
+
+
+def test_tpot_runs_configurations_in_turn():
+    order = []
+
+    def runner(name, step):
+        def run():
+            order.append(name)
+            return GenerationResult(tokens=[1, 1], decode_times=[step])
+        return run
+
+    r = B.measure_tpot({"a": runner("a", 0.01), "b": runner("b", 0.03)},
+                       n_runs=2, warmup=1)
+    assert order == ["a", "b"] * 3
+    assert r["a"].per_run == (0.01, 0.01) and r["b"].median == 0.03
+    assert r["a"].decode_tokens == r["b"].decode_tokens == 2
 
 
 def test_latency_report_relative_ratio():

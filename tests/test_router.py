@@ -165,16 +165,23 @@ class TestPrefill:
         with pytest.raises(ConfigError):
             R.prefill(cfg, w, small, np.array([[1]]))
 
+    def test_prompt_longer_than_max_seq(self):
+        cfg, w = tiny()
+        toks = np.ones((1, cfg.max_seq + 1), dtype=int)
+        with pytest.raises(ShapeError):
+            R.prefill(cfg, w, R.init_routers(cfg), toks)
+
 
 class TestDecodeProtocol:
-    def make_decided(self, rhos, seed=0):
-        cfg, w = tiny(seed=seed)
-        # routers with constant scores strong enough to force the decision
-        bank = R.RouterBank([
-            R.Router(T.Tensor(np.full(cfg.d_model, 0.0) if r >= 0.5 else
-                              np.random.default_rng(9).normal(scale=5.0, size=cfg.d_model)))
-            for r in rhos])
-        return cfg, w, bank
+    def forcing_bank(self, cfg, w, prompt, skip):
+        """Routers that point against the prompt's mean input to each layer
+        in ``skip`` (mean score -1) and sit at 0.5 on the others."""
+        hs = []
+        M.forward_full(cfg, w, np.array([prompt]), hidden=hs)
+        means = [h.data[0].mean(axis=0) for h in hs]
+        return R.RouterBank([
+            R.Router(T.Tensor(-m / (m @ m) if i in skip else np.zeros_like(m)))
+            for i, m in enumerate(means)])
 
     def test_all_pass_matches_base_decode(self):
         cfg, w = tiny()
@@ -191,22 +198,31 @@ class TestDecodeProtocol:
                                             np.array([[1, 2]]))
         first = cache.decode_skip
         with T.no_grad():
-            R.decode_with_decision(cfg, w, np.array([[3]]), cache, decision)
-            R.decode_with_decision(cfg, w, np.array([[4]]), cache, decision)
+            M.decode_step(cfg, w, np.array([[3]]), cache, decision.skip_set)
+            M.decode_step(cfg, w, np.array([[4]]), cache, decision.skip_set)
         assert cache.decode_skip == first == decision.skip_set
 
-    def test_invocation_count_drops_by_skipped_layers(self):
+    def test_invocation_count_drops_by_skipped_layers(self, monkeypatch):
         cfg, w = tiny(m=4, seed=2)
+        calls = []
+        branch = M.layer_branch
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return branch(*args, **kwargs)
+
+        monkeypatch.setattr(M, "layer_branch", counted)
         for forced_skip in [frozenset(), {1}, {0, 2}]:
             logits, cache, decision = R.prefill(cfg, w, R.init_routers(cfg),
                                                 np.array([[1, 2, 3]]))
             decision = R.SkipDecision.from_rhos(
                 [0.0 if i in forced_skip else 1.0 for i in range(cfg.n_layers)])
             cache.decode_skip = decision.skip_set
+            calls.clear()
             with T.no_grad():
-                M.reset_layer_invocations()
-                R.decode_with_decision(cfg, w, np.array([[5]]), cache, decision)
-                assert M.layer_invocations() == cfg.n_layers - len(forced_skip)
+                M.decode_step(cfg, w, np.array([[5]]), cache, decision.skip_set)
+            assert sorted(calls) == [i for i in range(cfg.n_layers)
+                                     if i not in forced_skip]
 
     def test_cache_decision_mismatch(self):
         cfg, w = tiny()
@@ -214,7 +230,24 @@ class TestDecodeProtocol:
         other = R.SkipDecision.from_rhos([0.0] + [1.0] * (cfg.n_layers - 1))
         with pytest.raises(CacheConsistencyError):
             with T.no_grad():
-                R.decode_with_decision(cfg, w, np.array([[2]]), cache, other)
+                M.decode_step(cfg, w, np.array([[2]]), cache, other.skip_set)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_routed_generation_matches_fixed_skip_generation(self, seed):
+        cfg, w = tiny(seed=seed)
+        rng = np.random.default_rng(seed)
+        short = [int(t) for t in rng.integers(0, cfg.vocab_size, 4)]
+        full_cache = [int(t) for t in rng.integers(0, cfg.vocab_size, cfg.max_seq - 2)]
+        forced = frozenset({seed % cfg.n_layers})
+        for prompt in (short, full_cache):
+            bank = self.forcing_bank(cfg, w, prompt, forced)
+            routed, decision = R.generate_with_routers(cfg, w, bank, prompt, 8)
+            fixed = M.generate(cfg, w, prompt, 8, skip_set=forced, prefill_skip=())
+            assert decision.skip_set == forced
+            assert routed.tokens == fixed.tokens
+            assert len(routed.decode_times) == len(fixed.decode_times)
+        # two free cache rows: the prefill token plus two decode steps
+        assert len(routed.tokens) == 3 and len(routed.decode_times) == 2
 
     def test_routed_generation_deterministic(self):
         cfg, w = tiny(seed=6)
