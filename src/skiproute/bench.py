@@ -13,6 +13,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 from .model import GenerationResult
 
@@ -25,6 +27,13 @@ class TpotResult:
     mean: float
     median: float
     decode_tokens: int
+
+    @property
+    def iqr(self) -> float:
+        """Distance between the quartiles of the per-run means: a median
+        that moves by less than this is within the runs' own spread."""
+        q1, q3 = np.percentile(self.per_run, [25, 75])
+        return float(q3 - q1)
 
 
 def measure_tpot(run_fns: dict[str, Callable[[], GenerationResult]],
@@ -82,8 +91,8 @@ def write_latency_csv(path: str, report: LatencyReport, baseline: str) -> None:
         raise ConfigError(f"no measurement named {baseline!r}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["method", "mean_tpot", "median_tpot", "decode_tokens",
-                    "relative_to_" + baseline])
+        w.writerow(["method", "mean_tpot", "median_tpot", "iqr_tpot",
+                    "decode_tokens", "relative_to_" + baseline])
         for name, r in report.entries.items():
-            w.writerow([name, r.mean, r.median, r.decode_tokens,
+            w.writerow([name, r.mean, r.median, r.iqr, r.decode_tokens,
                         report.relative(name, baseline)])

@@ -11,6 +11,7 @@ arbitrarily deep in numpy.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -217,7 +218,11 @@ class Bundle:
 def save_bundle(path: str, weights: Optional[ModelWeights] = None,
                 routers: Optional[RouterBank] = None,
                 adapters: Optional[AdapterSet] = None) -> None:
-    """Write the given parts as one container; order is fixed."""
+    """Write the given parts as one container; order is fixed.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it
+    in one step, so a failed save leaves any earlier file as it was.
+    """
     parts: list[tuple[bytes, bytes]] = []
     if weights is not None:
         parts.append((SECTION_MODEL, _pack_model(weights)))
@@ -227,12 +232,19 @@ def save_bundle(path: str, weights: Optional[ModelWeights] = None,
         parts.append((SECTION_ADAPTERS, _pack_adapters(adapters)))
     if not parts:
         raise ConfigError("nothing to save")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for tag, payload in parts:
-            fh.write(tag)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory: the rename is atomic
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for tag, payload in parts:
+                fh.write(tag)
+                fh.write(struct.pack("<Q", len(payload)))
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_sections(path: str) -> dict[str, bytes]:

@@ -166,7 +166,8 @@ def cmd_infer(args) -> int:
         print(_decode_text(result.tokens))
         skipped = ",".join(str(i) for i in sorted(decision.skip_set))
         print(f"skipped: {skipped or '-'} "
-              f"({len(decision.skip_set)}/{config.n_layers} layers)")
+              f"({len(decision.skip_set)}/{config.n_layers} layers, "
+              f"margin {decision.margin:.3g})")
     else:
         result = M.generate(config, weights, prompt, budget,
                             sampler=exp.sampler, skip_set=args.skip,
@@ -197,7 +198,8 @@ def cmd_bench(args) -> int:
     for name, r in report.entries.items():
         rel = report.relative(name, "full")
         print(f"{name}: mean {r.mean * 1e3:.3f} ms/token, "
-              f"median {r.median * 1e3:.3f} ms/token, x{rel:.3f} vs full")
+              f"median {r.median * 1e3:.3f} ms/token "
+              f"(IQR {r.iqr * 1e3:.3f}), x{rel:.3f} vs full")
     if args.out:
         B.write_latency_csv(args.out, report, baseline="full")
     return 0
@@ -246,7 +248,7 @@ def cmd_stats(args) -> int:
     for i, f in enumerate(stats.layer_skip_fraction):
         print(f"layer {i}: skipped {f:.4f}")
     print(f"average: {stats.average_skip_fraction:.4f} "
-          f"over {stats.n_prompts} prompts")
+          f"over {stats.n_prompts} prompts, min margin {stats.margin_min:.3g}")
     return 0
 
 
@@ -313,7 +315,8 @@ def cmd_compare(args) -> int:
         rel = report.relative(name, "full")
         rows.append((name, hits / len(pairs), bleu, r.mean, r.median, rel))
         print(f"{name}: accuracy {hits / len(pairs):.3f}, bleu1 {bleu:.3f}, "
-              f"tpot x{rel:.3f} vs full")
+              f"tpot x{rel:.3f} vs full (median {r.median * 1e3:.3f} ms, "
+              f"IQR {r.iqr * 1e3:.3f} ms)")
     print(f"unified baseline kept {retained}/{m} layers "
           f"(skips {sorted(unified_skip)})")
 

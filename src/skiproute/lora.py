@@ -103,16 +103,20 @@ def init_adapters(weights: ModelWeights, rank: int = 8, lora_alpha: float = 32.0
                       dropout_rate=dropout_rate, adapters=adapters)
 
 
-def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
-                   training: bool = False,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """x @ W.T plus the scaled low-rank path, dropout on that path only."""
+def _check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
     d_out, d_in = base_weight.shape
     _check_rank(adapter.rank, d_out, d_in)
     if adapter.a.shape != (adapter.rank, d_in) or adapter.b.shape != (d_out, adapter.rank):
         raise ShapeError(
             f"adapter shapes {adapter.a.shape}/{adapter.b.shape} do not fit a "
             f"{d_out}x{d_in} weight at rank {adapter.rank}")
+
+
+def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
+                   training: bool = False,
+                   rng: Optional[np.random.Generator] = None) -> Tensor:
+    """x @ W.T plus the scaled low-rank path, dropout on that path only."""
+    _check_fits(adapter, base_weight)
     base = linear(x, base_weight)
     xa = x
     if training and adapter.dropout_rate > 0.0:
@@ -128,14 +132,26 @@ def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
 
 def adapted_project(adapters: AdapterSet, training: bool = False,
                     rng: Optional[np.random.Generator] = None):
-    """A projection hook for the model forward that applies matching adapters."""
+    """A projection hook for the model forward that applies matching adapters.
 
-    def project(x: Tensor, w: Tensor, layer_index: int, name: str) -> Tensor:
+    On the tape (a Tensor ``x``) it is ``adapted_matmul``. On plain arrays,
+    which the forward uses when nothing requires grad, it computes the same
+    sum x @ W.T + scaling * (x @ A.T) @ B.T from ``.data`` views; dropout
+    belongs to training, which runs on the tape.
+    """
+
+    def project(x, w: Tensor, layer_index: int, name: str):
         ad = adapters.get(layer_index, name)
         if ad is None:
             return linear(x, w)
-        return adapted_matmul(x, w, ad, training=training, rng=rng)
+        if isinstance(x, Tensor):
+            return adapted_matmul(x, w, ad, training=training, rng=rng)
+        _check_fits(ad, w)
+        low = T.linear_fwd(T.linear_fwd(x, ad.a.data), ad.b.data)
+        return T.linear_fwd(x, w.data) + T.scale_fwd(low, ad.scaling)
 
+    # the model forward records a graph when any of these requires grad
+    project.parameters = adapters.parameters
     return project
 
 

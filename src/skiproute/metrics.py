@@ -109,6 +109,8 @@ class SkipStats:
     n_prompts: int
     layer_skip_fraction: tuple[float, ...]
     average_skip_fraction: float
+    # the smallest decision margin min |rho - 0.5| over every prompt
+    margin_min: float
 
 
 def collect_skip_stats(decisions: Sequence[SkipDecision]) -> SkipStats:
@@ -122,7 +124,8 @@ def collect_skip_stats(decisions: Sequence[SkipDecision]) -> SkipStats:
     fractions = skipped.mean(axis=0)
     return SkipStats(n_layers=n_layers, n_prompts=len(decisions),
                      layer_skip_fraction=tuple(float(f) for f in fractions),
-                     average_skip_fraction=float(fractions.mean()))
+                     average_skip_fraction=float(fractions.mean()),
+                     margin_min=min(d.margin for d in decisions))
 
 
 def write_decision_log(path: str, decisions: Sequence[SkipDecision]) -> None:

@@ -9,10 +9,18 @@ pass/skip limits.
 Weight matrices are stored (out_features, in_features); a projection is
 always x @ W.T. The KV cache holds post-rotation keys, so cached entries
 never need re-rotating as decoding advances.
+
+One definition of the layer serves training and inference: ``layer_branch``
+runs over the tape ops when grad mode is on and its input or a parameter it
+applies requires grad, and over the same forward kernels on bare arrays
+otherwise (see ``tensor.plain``). Inference (``no_grad``) therefore builds
+no tape objects and reads weights through ``.data`` views, so a weight
+updated in place is used by the next call.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -130,14 +138,16 @@ def _rope_tables(max_seq: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
 class KVCache:
     """Per-layer key/value buffers for one generation session.
 
-    ``decode_skip`` is the layer set this cache is bound to for decoding;
-    every decode step must present the same set. Layers the session never
-    executes keep a filled count of 0 and are never read.
+    Buffers are head-major, (batch, heads, max_seq, head_dim), so the
+    filled prefix of every head is read as a view. ``decode_skip`` is the
+    layer set this cache is bound to for decoding; every decode step must
+    present the same set. Layers the session never executes keep a filled
+    count of 0 and are never read.
     """
 
     def __init__(self, config: ModelConfig, batch_size: int = 1,
                  decode_skip: Sequence[int] = (), dtype=np.float32):
-        shape = (batch_size, config.max_seq, config.d_model)
+        shape = (batch_size, config.n_heads, config.max_seq, config.head_dim)
         self.config = config
         self.batch_size = batch_size
         self.k = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
@@ -146,105 +156,122 @@ class KVCache:
         self.n_positions = 0
         self.decode_skip = frozenset(int(i) for i in decode_skip)
 
-    def append(self, layer_index: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+    def append(self, layer_index: int, k_rows: np.ndarray,
+               v_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store (b, h, n, hd) rows after the filled prefix; return views of
+        the whole filled prefix, new rows included."""
         lo = self.filled[layer_index]
-        hi = lo + k_rows.shape[1]
+        hi = lo + k_rows.shape[2]
         if hi > self.config.max_seq:
             raise ShapeError(f"cache overflow: {hi} rows > max_seq {self.config.max_seq}")
-        self.k[layer_index][:, lo:hi] = k_rows
-        self.v[layer_index][:, lo:hi] = v_rows
+        k, v = self.k[layer_index], self.v[layer_index]
+        k[:, :, lo:hi] = k_rows
+        v[:, :, lo:hi] = v_rows
         self.filled[layer_index] = hi
+        return k[:, :, :hi], v[:, :, :hi]
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, n, d = x.shape
-    hd = d // n_heads
-    x = T.reshape(x, (b, n, n_heads, hd))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b * n_heads, n, hd))
+def _ops(tensors, project=None):
+    """The tape ops when grad mode is on and some tensor in ``tensors`` or a
+    parameter of the ``project`` hook requires grad; else the plain kernels."""
+    if T.grad_enabled():
+        hooked = getattr(project, "parameters", None)
+        for t in itertools.chain(tensors, hooked() if hooked else ()):
+            if isinstance(t, Tensor) and t.requires_grad:
+                return T
+    return T.plain
 
 
-def _merge_heads(x: Tensor, n_heads: int) -> Tensor:
-    bh, n, hd = x.shape
-    b = bh // n_heads
-    x = T.reshape(x, (b, n_heads, n, hd))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b, n, n_heads * hd))
+def _run(fn, x, params, project=None):
+    """``fn(ops, x)`` over the ops ``_ops`` picks for ``x`` and ``params``.
+
+    The result is a Tensor when ``x`` is one or the tape ran, else an
+    ndarray."""
+    ops = _ops(itertools.chain((x,), params), project)
+    out = fn(ops, ops.lift(x))
+    return T.lift(out) if isinstance(x, Tensor) else out
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x @ W.T for a (out_features, in_features) weight."""
-    return T.matmul(x, T.transpose(w, (1, 0)))
+def linear(x, w: Tensor):
+    """x @ W.T for a (out_features, in_features) weight: on the tape for a
+    Tensor ``x``, on plain arrays (reading ``w.data.T``) for an ndarray."""
+    if isinstance(x, Tensor):
+        return T.matmul(x, T.transpose(w, (1, 0)))
+    return T.linear_fwd(x, w.data)
 
 
-def _plain_project(x: Tensor, w: Tensor, layer_index: int, name: str) -> Tensor:
+def _plain_project(x, w: Tensor, layer_index: int, name: str):
     return linear(x, w)
 
 
-def _attention(config: ModelConfig, lw: LayerWeights, x: Tensor,
+def _attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
+                    t_len: int) -> Optional[np.ndarray]:
+    """Which of ``t_len`` keys each of ``n`` queries may read, broadcastable
+    over (b, heads, n, t_len): causal, and no padding. The queries are the
+    last ``n`` keys. None when every key is allowed, as for one new token
+    with no padding mask."""
+    if attn_mask is None and n == 1:
+        return None
+    past = t_len - n
+    causal = np.arange(t_len)[None, :] <= (past + np.arange(n))[:, None]
+    if attn_mask is None:
+        return causal
+    key_valid = np.ones((b, t_len), dtype=bool)
+    key_valid[:, past:past + n] = np.asarray(attn_mask) != 0
+    return causal[None, None] & key_valid[:, None, None, :]
+
+
+def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
                attn_mask: Optional[np.ndarray], positions: np.ndarray,
-               cache: Optional[KVCache], layer_index: int, project) -> Tensor:
+               cache: Optional[KVCache], layer_index: int, project):
     b, n, d = x.shape
     h, hd = config.n_heads, config.head_dim
-    past = int(positions[0])
 
     cos_t, sin_t = _rope_tables(config.max_seq, hd)
     cos, sin = cos_t[positions], sin_t[positions]
 
-    q = T.rope(_split_heads(project(x, lw.wq, layer_index, "wq"), h), cos, sin)
-    k = T.rope(_split_heads(project(x, lw.wk, layer_index, "wk"), h), cos, sin)
-    v = _split_heads(project(x, lw.wv, layer_index, "wv"), h)
+    def heads(t):  # (b, n, d) -> (b, h, n, hd)
+        return ops.transpose(ops.reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
+
+    q = ops.rope(heads(project(x, lw.wq, layer_index, "wq")), cos, sin)
+    k = ops.rope(heads(project(x, lw.wk, layer_index, "wk")), cos, sin)
+    v = heads(project(x, lw.wv, layer_index, "wv"))
 
     if cache is not None:
-        # Stash post-rotation rows, then read the whole prefix back. The
-        # cache path is inference-only, so plain arrays are fine here.
-        def flat(t):
-            return t.data.reshape(b, h, n, hd).transpose(0, 2, 1, 3).reshape(b, n, d)
+        # Stash the post-rotation rows and read the whole prefix back as
+        # views. The cache holds values, never graph nodes: it serves
+        # inference only.
+        k, v = (ops.lift(t) for t in cache.append(
+            layer_index, T.plain.lift(k), T.plain.lift(v)))
 
-        cache.append(layer_index, flat(k), flat(v))
-        t_len = cache.filled[layer_index]
-
-        def heads(buf):
-            rows = buf[:, :t_len]
-            return Tensor(rows.reshape(b, t_len, h, hd).transpose(0, 2, 1, 3)
-                          .reshape(b * h, t_len, hd))
-
-        k_all, v_all = heads(cache.k[layer_index]), heads(cache.v[layer_index])
-    else:
-        t_len = n
-        k_all, v_all = k, v
-
-    scores = T.scale(T.matmul(q, T.transpose(k_all, (0, 2, 1))), hd**-0.5)
-
-    causal = np.arange(t_len)[None, :] <= (past + np.arange(n))[:, None]
-    if attn_mask is not None:
-        key_valid = np.ones((b, t_len), dtype=bool)
-        key_valid[:, past:past + n] = np.asarray(attn_mask) != 0
-        mask = causal[None, :, :] & key_valid[:, None, :]
-    else:
-        mask = np.broadcast_to(causal[None, :, :], (b, n, t_len))
-    mask = np.repeat(mask, h, axis=0)
-
-    att = T.softmax_rows(scores, mask=mask)
-    out = _merge_heads(T.matmul(att, v_all), h)
+    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), hd**-0.5)
+    att = ops.softmax_rows(scores, _attention_mask(attn_mask, b, n, k.shape[2]))
+    out = ops.reshape(ops.transpose(ops.matmul(att, v), (0, 2, 1, 3)), (b, n, d))
     return project(out, lw.wo, layer_index, "wo")
 
 
-def _ffn(lw: LayerWeights, x: Tensor, layer_index: int, project) -> Tensor:
+def _ffn(ops, lw: LayerWeights, x, layer_index: int, project):
     g = project(x, lw.w_gate, layer_index, "w_gate")
-    gated = T.mul(T.mul(g, T.sigmoid(g)), project(x, lw.w_up, layer_index, "w_up"))
+    gated = ops.mul(ops.mul(g, ops.sigmoid(g)), project(x, lw.w_up, layer_index, "w_up"))
     return project(gated, lw.w_down, layer_index, "w_down")
 
 
 def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
-                 x: Tensor, attn_mask: Optional[np.ndarray] = None,
+                 x, attn_mask: Optional[np.ndarray] = None,
                  cache: Optional[KVCache] = None,
                  positions: Optional[np.ndarray] = None,
-                 project=None) -> Tensor:
+                 project=None):
     """The layer's residual contribution: attention delta plus FFN delta.
 
-    ``project`` lets callers wrap every weight application (low-rank
-    adapters); it defaults to the plain projection.
+    ``project(x, w, layer_index, name)`` lets callers wrap every weight
+    application (low-rank adapters); it defaults to the plain projection.
+    It gets a Tensor on the tape and an ndarray otherwise, and a hook that
+    applies parameters of its own lists them in ``project.parameters()``.
+
+    The layer runs on the tape when grad mode is on and ``x`` or a
+    parameter it applies requires grad, else on plain arrays. ``x`` is a
+    Tensor or an ndarray; the result is a Tensor when ``x`` is one or the
+    tape ran, else an ndarray.
     """
     if project is None:
         project = _plain_project
@@ -255,24 +282,34 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
             f"layer {layer_index}: positions start at {int(positions[0])} but the "
             f"cache holds {cache.filled[layer_index]} rows")
     lw = weights.layers[layer_index]
-    a = _attention(config, lw, T.rmsnorm(x, lw.attn_norm), attn_mask,
-                   np.asarray(positions), cache, layer_index, project)
-    f = _ffn(lw, T.rmsnorm(T.add(x, a), lw.ffn_norm), layer_index, project)
-    return T.add(a, f)
+    positions = np.asarray(positions)
+
+    def branch(ops, x):
+        a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), attn_mask,
+                       positions, cache, layer_index, project)
+        f = _ffn(ops, lw, ops.rmsnorm(ops.add(x, a), lw.ffn_norm), layer_index, project)
+        return ops.add(a, f)
+
+    return _run(branch, x, lw.parameters(), project)
 
 
 def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
-                  x: Tensor, attn_mask: Optional[np.ndarray] = None,
+                  x, attn_mask: Optional[np.ndarray] = None,
                   cache: Optional[KVCache] = None,
                   positions: Optional[np.ndarray] = None,
-                  project=None) -> Tensor:
-    """Residual-added layer output."""
-    return T.add(x, layer_branch(config, weights, layer_index, x,
-                                 attn_mask, cache, positions, project))
+                  project=None):
+    """Residual-added layer output, of the kind ``layer_branch`` returns."""
+    branch = layer_branch(config, weights, layer_index, x,
+                          attn_mask, cache, positions, project)
+    if isinstance(branch, Tensor):
+        return T.add(T.lift(x), branch)
+    return x + branch
 
 
-def _finish(weights: ModelWeights, h: Tensor) -> Tensor:
-    return linear(T.rmsnorm(h, weights.final_norm), weights.head)
+def _finish(weights: ModelWeights, h):
+    """Logits from the last hidden state, of the kind ``_run`` returns."""
+    return _run(lambda ops, h: linear(ops.rmsnorm(h, weights.final_norm), weights.head),
+                h, (weights.final_norm, weights.head))
 
 
 def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
@@ -284,7 +321,8 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     With a cache, the block continues the session: positions pick up at
     ``cache.n_positions`` and executed layers append their K,V rows. With
     ``hidden``, the hidden state entering each executed layer is appended
-    to it (what the routers read at prefill).
+    to it as a Tensor (what the routers read at prefill). Where nothing
+    requires grad the whole pass runs on plain arrays.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -296,16 +334,16 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     skip = frozenset(int(i) for i in skip_set)
     positions = np.arange(start, start + n)
 
-    h = T.embedding(weights.embedding, tokens)
+    h = _ops((weights.embedding,)).embedding(weights.embedding, tokens)
     for i in range(config.n_layers):
         if i in skip:
             continue
         if hidden is not None:
-            hidden.append(h)
+            hidden.append(T.lift(h))
         h = layer_forward(config, weights, i, h, attn_mask, cache, positions, project)
     if cache is not None:
         cache.n_positions += n
-    return _finish(weights, h)
+    return T.lift(_finish(weights, h))
 
 
 def decode_step(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
@@ -422,7 +460,8 @@ def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[in
     pre_skip = skip if prefill_skip is None else frozenset(int(i) for i in prefill_skip)
 
     def prefill(prompt):
-        cache = KVCache(config, batch_size=1, decode_skip=skip)
+        cache = KVCache(config, batch_size=1, decode_skip=skip,
+                        dtype=weights.embedding.dtype)
         logits = forward_full(config, weights, prompt, skip_set=pre_skip,
                               cache=cache, project=project)
         return logits, cache, None

@@ -87,6 +87,11 @@ class SkipDecision:
     def skip_fraction(self) -> float:
         return len(self.skip_set) / len(self.passed)
 
+    @property
+    def margin(self) -> float:
+        """min |rho - 0.5|: how far the closest layer is from flipping."""
+        return min(abs(r - PASS_THRESHOLD) for r in self.rho)
+
 
 def router_probability(router: Router, hidden: Tensor,
                        attention_mask: Optional[np.ndarray] = None) -> Tensor:
@@ -166,7 +171,8 @@ def prefill(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
         raise ConfigError(f"{len(routers)} routers for {config.n_layers} layers")
 
     with T.no_grad():
-        cache = KVCache(config, batch_size=tokens.shape[0])
+        cache = KVCache(config, batch_size=tokens.shape[0],
+                        dtype=weights.embedding.dtype)
         hs: list[Tensor] = []
         logits = M.forward_full(config, weights, tokens, cache=cache,
                                 attn_mask=attn_mask, project=project, hidden=hs)

@@ -1,9 +1,14 @@
-"""Dense tensors with reverse-mode autodiff.
+"""Dense tensors with reverse-mode autodiff, and the forward kernels under it.
 
 Small tape-based engine over numpy arrays: enough to train router probes
 and low-rank adapters through a frozen transformer. Ops build a graph only
-when some input requires grad (and grad mode is on), so pure inference on
-frozen weights runs as plain numpy with no tape overhead.
+when some input requires grad (and grad mode is on).
+
+Every op's forward numerics live in a small pure ndarray kernel (the
+``*_fwd`` functions); the op calls it and adds only the backward. ``plain``
+offers the kernels under the ops' names, so code written against an ops
+namespace (this module or ``plain``) computes the same numbers on the tape
+or on bare arrays, where inference pays no tape overhead at all.
 
 Conventions:
   - float32 by default; build tensors as float64 for gradient checks.
@@ -14,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +41,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph for inputs that require grad."""
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -141,6 +152,81 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+# ---------------------------------------------------------------- kernels
+# Pure forward numerics over ndarrays. They keep the input's dtype: scalars
+# enter as Python floats or as arrays of that dtype.
+
+
+def scale_fwd(d: np.ndarray, s: float) -> np.ndarray:
+    return d * np.asarray(s, dtype=d.dtype)
+
+
+def linear_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ W.T for a (out_features, in_features) weight."""
+    return x @ w.T
+
+
+def sigmoid_fwd(d: np.ndarray) -> np.ndarray:
+    # exp only ever sees -|d|, so it cannot overflow; both branches are
+    # finite everywhere, and each matches the split-by-sign form bitwise.
+    e = np.exp(-np.abs(d))
+    p = 1.0 + e
+    return np.where(d >= 0, 1.0 / p, e / p)
+
+
+def softmax_rows_fwd(d: np.ndarray, mask=None) -> np.ndarray:
+    """Row-stabilized softmax over the last axis; see ``softmax_rows``."""
+    if mask is not None:
+        m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
+        keep = m != 0
+        np.broadcast_to(keep, d.shape)  # the mask must fit the scores
+        # broadcasting only repeats rows, so checking the mask's own rows
+        # checks every row of the scores
+        if not keep.any(axis=-1).all():
+            raise MaskError("softmax row with every entry masked")
+        d = np.where(keep, d, np.array(-1e9, dtype=d.dtype))
+    e = d - d.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def embedding_fwd(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise VocabularyError(
+            f"token id out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}"
+        )
+    return table[ids]
+
+
+def rmsnorm_fwd(d: np.ndarray, gain: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """(d / rms(d)) * gain over the last axis, and the rms (for backward)."""
+    # the sum over the axis count is bitwise ``mean``, without its overhead
+    ms = np.add.reduce(d * d, axis=-1, keepdims=True) / d.shape[-1]
+    r = np.sqrt(ms + np.asarray(eps, dtype=d.dtype))
+    return d / r * gain, r
+
+
+def rope_fwd(d: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    if d.shape[-1] % 2 != 0:
+        raise ShapeError(f"rope needs an even last axis, got {d.shape}")
+    x1 = d[..., 0::2]
+    x2 = d[..., 1::2]
+    out = np.empty_like(d)
+    np.subtract(x1 * cos, x2 * sin, out=out[..., 0::2])
+    np.add(x1 * sin, x2 * cos, out=out[..., 1::2])
+    return out
+
+
+# -------------------------------------------------------------------- ops
+
+
+def lift(x) -> Tensor:
+    """``x`` as an operand of the tape ops: an ndarray becomes a constant."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
@@ -167,7 +253,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    data = x.data * np.asarray(s, dtype=x.dtype)
+    data = scale_fwd(x.data, s)
 
     def backward(g):
         if x.requires_grad:
@@ -177,45 +263,36 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for rank (2,2), (3,2) and (3,3) operand pairs.
+    """Matrix product for rank (2,2), (3,2), (3,3) and (4,4) operand pairs.
 
     A rank-2 right operand broadcasts over the single batch dimension of a
-    rank-3 left operand. Anything wider is out of contract.
+    rank-3 left operand; equal ranks above 2 need equal batch dimensions.
+    Anything wider is out of contract.
     """
     ra, rb = a.ndim, b.ndim
-    if (ra, rb) not in ((2, 2), (3, 2), (3, 3)):
-        raise ShapeError(f"matmul supports rank (2,2), (3,2), (3,3); got {a.shape} @ {b.shape}")
+    if (ra, rb) not in ((2, 2), (3, 2), (3, 3), (4, 4)):
+        raise ShapeError(
+            f"matmul supports rank (2,2), (3,2), (3,3), (4,4); got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if (ra, rb) == (3, 3) and a.shape[0] != b.shape[0]:
+    if ra == rb > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            if rb == 2:
-                a.accumulate_grad(g @ b.data.T)
-            else:
-                a.accumulate_grad(g @ b.data.transpose(0, 2, 1))
+            a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            if (ra, rb) == (2, 2):
-                b.accumulate_grad(a.data.T @ g)
-            elif (ra, rb) == (3, 2):
+            if (ra, rb) == (3, 2):
                 b.accumulate_grad(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
             else:
-                b.accumulate_grad(a.data.transpose(0, 2, 1) @ g)
+                b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign so exp never sees a large positive argument.
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = sigmoid_fwd(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -231,16 +308,7 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
     entries are pushed to -inf-like before normalization and come out as
     exact zeros. A fully masked row raises ``MaskError``.
     """
-    d = x.data
-    if mask is not None:
-        m = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
-        keep = np.broadcast_to(m != 0, d.shape)
-        if not keep.any(axis=-1).all():
-            raise MaskError("softmax row with every entry masked")
-        d = np.where(keep, d, np.array(-1e9, dtype=d.dtype))
-    shifted = d - d.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_rows_fwd(x.data, mask)
 
     def backward(g):
         if x.requires_grad:
@@ -324,11 +392,7 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather; backward scatter-adds into the table."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise VocabularyError(
-            f"token id out of range [0, {table.shape[0]}): min={ids.min()}, max={ids.max()}"
-        )
-    data = table.data[ids]
+    data = embedding_fwd(table.data, ids)
 
     def backward(g):
         if table.requires_grad:
@@ -343,10 +407,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by ``gain``."""
     d = x.data
     n = d.shape[-1]
-    ms = (d * d).mean(axis=-1, keepdims=True)
-    r = np.sqrt(ms + np.asarray(eps, dtype=d.dtype))
-    normed = d / r
-    data = normed * gain.data
+    data, r = rmsnorm_fwd(d, gain.data, eps)
 
     def backward(g):
         gy = g * gain.data
@@ -354,7 +415,7 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
             inner = (gy * d).sum(axis=-1, keepdims=True)
             x.accumulate_grad(gy / r - d * inner / (n * r**3))
         if gain.requires_grad:
-            gg = (g * normed).reshape(-1, n).sum(axis=0)
+            gg = (g * (d / r)).reshape(-1, n).sum(axis=0)
             gain.accumulate_grad(gg.astype(gain.dtype))
 
     return _make(data, (x, gain), backward)
@@ -366,14 +427,7 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     ``cos``/``sin`` have shape (n, last/2) and broadcast over leading axes.
     Backward applies the inverse rotation to the incoming gradient.
     """
-    d = x.data
-    if d.shape[-1] % 2 != 0:
-        raise ShapeError(f"rope needs an even last axis, got {x.shape}")
-    x1 = d[..., 0::2]
-    x2 = d[..., 1::2]
-    out = np.empty_like(d)
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
+    out = rope_fwd(x.data, cos, sin)
 
     def backward(g):
         if x.requires_grad:
@@ -437,3 +491,22 @@ def parameters_norm_sq(params: Iterable[Tensor]) -> Tensor:
     if total is None:
         raise ShapeError("norm of an empty parameter list")
     return total
+
+
+# The kernels under the names and signatures of the tape ops, over bare
+# ndarrays; parameters stay Tensors and are read through ``.data``. Code
+# that takes an ops namespace runs on this one when nothing needs a graph.
+plain = SimpleNamespace(
+    lift=lambda x: x.data if isinstance(x, Tensor) else x,
+    add=np.add,
+    mul=np.multiply,
+    matmul=np.matmul,
+    scale=lambda x, s: scale_fwd(x, float(s)),
+    sigmoid=sigmoid_fwd,
+    softmax_rows=softmax_rows_fwd,
+    transpose=lambda x, axes: x.transpose(axes),
+    reshape=lambda x, shape: x.reshape(shape),
+    embedding=lambda table, ids: embedding_fwd(table.data, np.asarray(ids)),
+    rmsnorm=lambda x, gain, eps=1e-5: rmsnorm_fwd(x, gain.data, eps)[0],
+    rope=rope_fwd,
+)

@@ -85,6 +85,37 @@ def test_section_listing(tmp_path, parts):
     assert all(isinstance(v, bytes) for v in sections.values())
 
 
+def test_failed_save_keeps_the_old_file(tmp_path, parts, monkeypatch):
+    _, weights, bank, _ = parts
+    path = tmp_path / "model.bin"
+    BU.save_bundle(str(path), routers=bank)
+    before = path.read_bytes()
+
+    class DiskFull(OSError):
+        pass
+
+    def failing_open(name, mode="r"):
+        fh = open(name, mode)
+        real_write = fh.write
+
+        def write(data):
+            if fh.tell() > 0:  # the magic goes through, the sections do not
+                raise DiskFull("no space left on device")
+            return real_write(data)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(BU, "open", failing_open, raising=False)
+    with pytest.raises(DiskFull):
+        BU.save_bundle(str(path), weights=weights, routers=bank)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+    assert params_equal(BU.load_bundle(str(path)).routers.parameters(),
+                        bank.parameters())
+
+
 def test_nothing_to_save_is_refused(tmp_path):
     with pytest.raises(ConfigError):
         BU.save_bundle(str(tmp_path / "empty.bin"))

@@ -109,6 +109,7 @@ def test_infer_plain_and_routed(workdir, capsys):
     routed = capsys.readouterr().out
     assert "skipped:" in routed
     assert "/2 layers" in routed
+    assert "margin " in routed
 
 
 def test_infer_with_fixed_skip_set(workdir, capsys):
@@ -164,7 +165,7 @@ def test_stats_and_reaggregation(workdir, capsys):
                  "--from-raw", str(dump)]) == 0
     again = capsys.readouterr().out
     assert direct == again
-    assert "average:" in direct
+    assert "average:" in direct and "min margin" in direct
 
 
 def test_compare_subcommand(workdir, capsys):

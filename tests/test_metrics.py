@@ -127,6 +127,16 @@ def test_skip_stats_frozen_aggregate():
     assert stats.n_prompts == 3
     assert stats.layer_skip_fraction == pytest.approx((2 / 3, 1 / 3, 0.0))
     assert stats.average_skip_fraction == pytest.approx(1 / 3)
+    assert stats.margin_min == 0.25
+
+
+def test_decision_margin_is_the_closest_layer_to_the_threshold():
+    d = SkipDecision.from_rhos((0.9, 0.4999, 0.2, 0.5))
+    assert d.margin == 0.0  # 0.5 passes, but it sits on the threshold
+    d = SkipDecision.from_rhos((0.9, 0.4, 0.62))
+    assert d.margin == pytest.approx(0.1)
+    stats = X.collect_skip_stats([d, SkipDecision.from_rhos((0.7, 0.45, 0.1))])
+    assert stats.margin_min == pytest.approx(0.05)
 
 
 def test_skip_stats_average_equals_mean_of_layer_fractions():
@@ -239,6 +249,22 @@ def test_latency_report_relative_ratio():
         report.relative("missing", "full")
     with pytest.raises(ConfigError):
         report.add("full", B.TpotResult((0.1,), 0.1, 0.1, 1))
+
+
+def test_tpot_iqr_from_fake_decode_times(tmp_path):
+    # per-run means 0.01 .. 0.05: quartiles 0.02 and 0.04
+    run, _ = fake_runner([[t, t] for t in (0.03, 0.01, 0.05, 0.02, 0.04)])
+    r = B.measure_tpot({"full": run}, n_runs=5, warmup=0)["full"]
+    assert r.median == pytest.approx(0.03)
+    assert r.iqr == pytest.approx(0.02)
+    assert B.TpotResult((0.02,), 0.02, 0.02, 10).iqr == 0.0
+    report = B.LatencyReport()
+    report.add("full", r)
+    path = tmp_path / "latency.csv"
+    B.write_latency_csv(str(path), report, baseline="full")
+    with open(path, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["iqr_tpot"]) == r.iqr
 
 
 def test_latency_csv(tmp_path):

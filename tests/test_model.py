@@ -1,8 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skiproute import data as D
+from skiproute import lora as L
 from skiproute import model as M
+from skiproute import router as R
 from skiproute import tensor as T
+from skiproute import training as TR
 from skiproute.errors import (CacheConsistencyError, ConfigError, NumericalError,
                               ShapeError, VocabularyError)
 
@@ -55,13 +63,24 @@ class TestLayerForward:
         # one position at index 0: rotation is identity, softmax over one
         # score is 1, so attention output is the O-projected V-projection
         expected = (xn @ lw.wv.data.T) @ lw.wo.data.T
-        got = M._attention(cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
+        got = M._attention(T, cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
                            M._plain_project)
         np.testing.assert_allclose(got.data, expected, rtol=1e-12)
         lw.wo.data[:] = np.eye(2)
-        got_v = M._attention(cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
+        got_v = M._attention(T, cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
                              M._plain_project)
         np.testing.assert_allclose(got_v.data, xn @ lw.wv.data.T, rtol=1e-12)
+
+    def test_causal_at_any_start_position(self):
+        cfg, w = tiny_model()
+        x = np.random.default_rng(1).normal(size=(1, 4, cfg.d_model))
+        later = x.copy()
+        later[0, 3] += 1.0
+        for start in (0, 3):
+            pos = np.arange(start, start + 4)
+            a = M.layer_forward(cfg, w, 0, T.Tensor(x), positions=pos)
+            b = M.layer_forward(cfg, w, 0, T.Tensor(later), positions=pos)
+            np.testing.assert_array_equal(a.data[:, :3], b.data[:, :3])
 
     def test_cache_position_mismatch(self):
         cfg, w = tiny_model()
@@ -279,3 +298,158 @@ class TestTrainingPath:
             toks2[0, 5] = (toks2[0, 5] + 3) % cfg.vocab_size
             masked2 = M.forward_full(cfg, w, toks2, attn_mask=attn).data
         np.testing.assert_array_equal(masked[:, :4], masked2[:, :4])
+
+
+def _greedy_on_tape(cfg, w, prompt, n_new, decode_skip=(), project=None,
+                    routers=None):
+    """Reference greedy decoding with every forward recorded on the tape:
+    full prefill into a cache, then one cached step per token under
+    ``decode_skip`` (or the routers' decision, read from the prefill's
+    layer inputs as ``R.prefill`` reads them)."""
+    cache = M.KVCache(cfg, dtype=w.embedding.dtype)
+    hs = []
+    logits = M.forward_full(cfg, w, np.asarray(prompt)[None, :], cache=cache,
+                            project=project, hidden=hs)
+    assert logits.requires_grad  # the tape really ran
+    if routers is not None:
+        decode_skip = R.SkipDecision.from_rhos(
+            [R.unify_batch(R.router_probability(r, h)).item()
+             for r, h in zip(routers.routers, hs)]).skip_set
+    tokens = [int(np.argmax(logits.data[0, -1]))]
+    while len(tokens) < n_new:
+        logits = M.forward_full(cfg, w, np.array([[tokens[-1]]]),
+                                skip_set=decode_skip, cache=cache, project=project)
+        tokens.append(int(np.argmax(logits.data[0, -1])))
+    return tokens
+
+
+def _with_random_adapters(w, seed):
+    adapters = L.init_adapters(w, rank=4, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for _, ad in adapters.items():
+        ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape).astype(ad.b.dtype)
+    return adapters
+
+
+class TestPlainPath:
+    """Inference without a tape computes what the tape computes."""
+
+    @pytest.mark.parametrize("size", ["default", "tiny64"])
+    def test_logits_match_the_tape(self, size):
+        if size == "default":
+            cfg = M.ModelConfig()
+            w = M.init_model(cfg, np.random.default_rng(5))
+        else:
+            cfg, w = tiny_model(m=3, d=16, heads=2, seed=5, dtype=np.float64)
+        toks = np.random.default_rng(6).integers(0, cfg.vocab_size, size=(2, 9))
+        attn = np.ones((2, 9), dtype=np.uint8)
+        attn[1, 7:] = 0
+        adapters = _with_random_adapters(w, 7)
+        for project in (None, L.adapted_project(adapters)):
+            with T.no_grad():
+                plain = M.forward_full(cfg, w, toks, attn_mask=attn, project=project)
+            w.set_requires_grad(True)
+            adapters.set_requires_grad(True)
+            try:
+                tape = M.forward_full(cfg, w, toks, attn_mask=attn, project=project)
+            finally:
+                w.set_requires_grad(False)
+                adapters.set_requires_grad(False)
+            assert tape.requires_grad and not plain.requires_grad
+            assert plain.dtype == w.embedding.dtype
+            assert np.max(np.abs(plain.data - tape.data)) < 1e-5
+
+    def test_greedy_tokens_match_the_tape(self):
+        cfg = M.ModelConfig()
+        w = M.init_model(cfg, np.random.default_rng(8))
+        routers = R.init_routers(cfg)
+        rng = np.random.default_rng(9)
+        for r in routers.routers:
+            r.weight.data[:] = rng.normal(0.0, 3.0, size=cfg.d_model)
+        adapters = _with_random_adapters(w, 10)
+        prompt = rng.integers(97, 123, size=10).tolist()
+        skips = {"full": (), "skip2": (6, 9), "skip4": (3, 5, 7, 9)}
+        for with_adapters in (False, True):
+            project = L.adapted_project(adapters) if with_adapters else None
+            got = {name: M.generate(cfg, w, prompt, 8, skip_set=skip,
+                                    prefill_skip=(), project=project).tokens
+                   for name, skip in skips.items()}
+            routed, decision = R.generate_with_routers(cfg, w, routers, prompt, 8,
+                                                       project=project)
+            got["routed"] = routed.tokens
+            assert 0 < len(decision.skip_set) < cfg.n_layers
+
+            w.set_requires_grad(True)
+            adapters.set_requires_grad(True)
+            try:
+                want = {name: _greedy_on_tape(cfg, w, prompt, 8, skip, project)
+                        for name, skip in skips.items()}
+                want["routed"] = _greedy_on_tape(cfg, w, prompt, 8,
+                                                 project=project, routers=routers)
+            finally:
+                w.set_requires_grad(False)
+                adapters.set_requires_grad(False)
+            assert got == want, with_adapters
+
+    def test_decode_step_builds_no_tape(self, monkeypatch):
+        cfg, w = tiny_model()
+        cache = M.KVCache(cfg)
+        with T.no_grad():
+            M.forward_full(cfg, w, tokens_for(cfg, 4), cache=cache)
+            made = []
+            init = T.Tensor.__init__
+
+            def counted(obj, *args, **kwargs):
+                made.append(obj)
+                init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(T.Tensor, "__init__", counted)
+            logits = M.decode_step(cfg, w, np.array([[3]]), cache)
+        assert made == [logits]
+
+    def test_generate_reads_weights_updated_in_place(self):
+        cfg = M.ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, max_seq=32)
+        w = M.init_model(cfg, np.random.default_rng(11))
+        train, val, _ = D.generate_dataset(D.TaskSpec(
+            kind="copy", min_len=3, max_len=3, n_train=4, n_val=2, n_test=1, seed=1))
+        prompt = [1, 2, 3, 4]
+        before = M.generate(cfg, w, prompt, 6).tokens
+        tc = TR.TrainConfig(lr_min=0.05, lr_max=0.05, schedule="constant",
+                            accum_steps=1, batch_size=4, max_epochs=1,
+                            max_seq=32, eval_every=1)
+        assert TR.train_model(cfg, w, train, val, tc).steps == 1
+        after = M.generate(cfg, w, prompt, 6).tokens
+        assert after != before
+        assert after == M.generate(cfg, copy.deepcopy(w), prompt, 6).tokens
+
+
+class TestPrefillThenDecodeProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           skip=st.frozensets(st.integers(0, 2)),
+           n_prompt=st.integers(1, 16),
+           seed=st.integers(0, 2**16))
+    def test_incremental_matches_recompute_up_to_a_full_cache(
+            self, dtype, skip, n_prompt, seed):
+        cfg, w = tiny_model(m=3, max_seq=16, seed=seed % 7, dtype=dtype)
+        toks = np.random.default_rng(seed).integers(0, cfg.vocab_size,
+                                                    size=(1, cfg.max_seq))
+        with T.no_grad():
+            full = M.forward_full(cfg, w, toks, skip_set=skip).data
+            cache = M.KVCache(cfg, decode_skip=skip, dtype=dtype)
+            steps = [M.forward_full(cfg, w, toks[:, :n_prompt], skip_set=skip,
+                                    cache=cache).data]
+            for j in range(n_prompt, cfg.max_seq):
+                steps.append(M.decode_step(cfg, w, toks[:, j:j + 1], cache, skip).data)
+        incremental = np.concatenate(steps, axis=1)
+        assert incremental.dtype == dtype
+        assert np.max(np.abs(incremental - full)) < 1e-4
+        assert cache.n_positions == cfg.max_seq
+        assert cache.filled == [0 if i in skip else cfg.max_seq
+                                for i in range(cfg.n_layers)]
+
+        # generation stops once the cache is full, however large the budget
+        out = M.generate(cfg, w, toks[0, :n_prompt].tolist(), 3 * cfg.max_seq,
+                         skip_set=skip)
+        assert len(out.tokens) == cfg.max_seq - n_prompt + 1
+        assert len(out.decode_times) == len(out.tokens) - 1

@@ -75,6 +75,26 @@ class TestSigmoid:
     def test_grad(self):
         check_op_grad(T.sigmoid, rand64(3, 4))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_split_by_sign_form(self, dtype):
+        def split_form(d):
+            out = np.empty_like(d)
+            pos = d >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+            e = np.exp(d[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(3)
+        edges = [0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 88.0, -88.0, 710.0,
+                 -710.0, np.inf, -np.inf]
+        d = np.concatenate([np.array(edges), rng.normal(scale=8.0, size=2000),
+                            rng.normal(scale=1e-3, size=200)]).astype(dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = T.sigmoid(T.Tensor(d)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), split_form(d).view(np.uint8))
+
 
 class TestSoftmaxRows:
     def test_uniform(self):
