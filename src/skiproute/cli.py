@@ -22,8 +22,9 @@ from . import training as TR
 from .bundle import Bundle, load_bundle, save_bundle
 from .config import ExperimentConfig, load_experiment, write_default_config
 from .data import generate_dataset
-from .errors import BundleError, NumericalError, SkipRouteError
-from .lora import adapted_project, init_adapters, merge
+from .errors import (BundleError, BundleShapeError, ConfigError,
+                     NumericalError, ShapeError, SkipRouteError)
+from .lora import adapted_project, check_fits, init_adapters, merge
 from .tokenizer import EOS, detokenize, frame_prompt
 
 
@@ -49,17 +50,35 @@ def _load_model(path: str):
     return bundle.weights.config, bundle.weights
 
 
-def _load_routers(path: str):
+def _load_routers(path: str, config: M.ModelConfig):
+    """The router bank in ``path``, checked against the model it will route."""
     bundle = load_bundle(path)
     if bundle.routers is None:
         raise BundleError(f"{path} holds no router section")
-    return bundle.routers
+    routers = bundle.routers
+    widths = {r.weight.shape[0] for r in routers.routers}
+    if len(routers) != config.n_layers or widths != {config.d_model}:
+        raise BundleShapeError(
+            f"{path}: {len(routers)} routers of width {sorted(widths)} for a "
+            f"model of {config.n_layers} layers of width {config.d_model}")
+    return routers
 
 
-def _load_adapters(path: str):
+def _load_adapters(path: str, weights: M.ModelWeights):
+    """The adapter set in ``path``, checked against the model it will adapt:
+    every adapter targets an existing layer and fits its matrix."""
     bundle = load_bundle(path)
     if bundle.adapters is None:
         raise BundleError(f"{path} holds no adapter section")
+    for (layer, name), ad in bundle.adapters.items():
+        if layer >= weights.config.n_layers:
+            raise BundleShapeError(
+                f"{path}: adapter for layer {layer} of a "
+                f"{weights.config.n_layers}-layer model")
+        try:
+            check_fits(ad, getattr(weights.layers[layer], name))
+        except (ConfigError, ShapeError) as e:
+            raise BundleShapeError(f"{path}: adapter {layer}/{name}: {e}") from e
     return bundle.adapters
 
 
@@ -126,7 +145,7 @@ def cmd_train_router(args) -> int:
 def cmd_train_lora(args) -> int:
     exp = load_experiment(args.config)
     config, weights = _load_model(args.model)
-    routers = _load_routers(args.routers)
+    routers = _load_routers(args.routers, config)
     adapters = init_adapters(
         weights, rank=exp.lora.rank, lora_alpha=exp.lora.lora_alpha,
         dropout_rate=exp.lora.dropout,
@@ -142,7 +161,7 @@ def cmd_train_lora(args) -> int:
 
 def cmd_merge(args) -> int:
     _, weights = _load_model(args.model)
-    adapters = _load_adapters(args.adapters)
+    adapters = _load_adapters(args.adapters, weights)
     merged = merge(weights, adapters)
     save_bundle(args.out, weights=merged)
     print(f"merged {len(adapters.adapters)} adapters -> {args.out}")
@@ -154,12 +173,12 @@ def cmd_infer(args) -> int:
     config, weights = _load_model(args.model)
     project = None
     if args.adapters:
-        project = adapted_project(_load_adapters(args.adapters))
+        project = adapted_project(_load_adapters(args.adapters, weights))
     prompt = frame_prompt(args.prompt.encode("utf-8"))
     rng = np.random.default_rng(exp.task.seed)
     budget = _max_new(exp, args.max_new)
     if args.routers:
-        routers = _load_routers(args.routers)
+        routers = _load_routers(args.routers, config)
         result, decision = R.generate_with_routers(
             config, weights, routers, prompt, budget, sampler=exp.sampler,
             rng=rng, stop_at=EOS, project=project)
@@ -190,7 +209,7 @@ def cmd_bench(args) -> int:
         runs["skip"] = lambda: M.generate(config, weights, prompt, budget,
                                           skip_set=args.skip, prefill_skip=())
     if args.routers:
-        routers = _load_routers(args.routers)
+        routers = _load_routers(args.routers, config)
         runs["routed"] = lambda: R.generate_with_routers(
             config, weights, routers, prompt, budget)[0]
     report = B.LatencyReport(B.measure_tpot(runs, n_runs=args.runs,
@@ -235,7 +254,7 @@ def cmd_stats(args) -> int:
     else:
         exp = load_experiment(args.config)
         config, weights = _load_model(args.model)
-        routers = _load_routers(args.routers)
+        routers = _load_routers(args.routers, config)
         _, _, test = generate_dataset(exp.task)
         decisions = []
         for prompt, _ in test[:args.max_prompts]:
@@ -255,10 +274,10 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     exp = load_experiment(args.config)
     config, weights = _load_model(args.model)
-    routers = _load_routers(args.routers)
+    routers = _load_routers(args.routers, config)
     project = None
     if args.adapters:
-        project = adapted_project(_load_adapters(args.adapters))
+        project = adapted_project(_load_adapters(args.adapters, weights))
     _, _, test = generate_dataset(exp.task)
     pairs = test[:args.max_prompts]
     budget = max(2, _max_new(exp, args.max_new))
@@ -297,11 +316,15 @@ def cmd_compare(args) -> int:
     }
 
     bench_prompt = frame_prompt(pairs[0][0])
+    # every configuration runs with the same projection, so the ratios
+    # measure skipping alone and not the adapters' cost
     report = B.LatencyReport(B.measure_tpot({
-        "full": lambda: M.generate(config, weights, bench_prompt, budget),
+        "full": lambda: M.generate(config, weights, bench_prompt, budget,
+                                   project=project),
         "routed": lambda: run_routed(bench_prompt)[0],
         "unified": lambda: M.generate(config, weights, bench_prompt, budget,
-                                      skip_set=unified_skip, prefill_skip=()),
+                                      skip_set=unified_skip, prefill_skip=(),
+                                      project=project),
     }, n_runs=args.runs, warmup=args.warmup))
 
     rows = []

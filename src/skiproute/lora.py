@@ -103,7 +103,8 @@ def init_adapters(weights: ModelWeights, rank: int = 8, lora_alpha: float = 32.0
                       dropout_rate=dropout_rate, adapters=adapters)
 
 
-def _check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
+def check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
+    """Raise unless ``adapter`` is a low-rank update of ``base_weight``'s shape."""
     d_out, d_in = base_weight.shape
     _check_rank(adapter.rank, d_out, d_in)
     if adapter.a.shape != (adapter.rank, d_in) or adapter.b.shape != (d_out, adapter.rank):
@@ -116,7 +117,7 @@ def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
                    training: bool = False,
                    rng: Optional[np.random.Generator] = None) -> Tensor:
     """x @ W.T plus the scaled low-rank path, dropout on that path only."""
-    _check_fits(adapter, base_weight)
+    check_fits(adapter, base_weight)
     base = linear(x, base_weight)
     xa = x
     if training and adapter.dropout_rate > 0.0:
@@ -146,7 +147,7 @@ def adapted_project(adapters: AdapterSet, training: bool = False,
             return linear(x, w)
         if isinstance(x, Tensor):
             return adapted_matmul(x, w, ad, training=training, rng=rng)
-        _check_fits(ad, w)
+        check_fits(ad, w)
         low = T.linear_fwd(T.linear_fwd(x, ad.a.data), ad.b.data)
         return T.linear_fwd(x, w.data) + T.scale_fwd(low, ad.scaling)
 

@@ -106,7 +106,8 @@ def router_probability(router: Router, hidden: Tensor,
     if np.any(counts == 0):
         raise MaskError("router saw a sequence with every token masked")
     kept = T.mul(probs, Tensor(mask.astype(probs.dtype)))
-    return T.mul(T.sum_axis(kept, 1), Tensor((1.0 / counts).astype(probs.dtype)))
+    # divide, not multiply by a rounded 1/count: n * 0.5 / n is exactly 0.5
+    return T.divide(T.sum_axis(kept, 1), counts)
 
 
 def unify_batch(rhos: Tensor) -> Tensor:

@@ -167,11 +167,13 @@ def linear_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_fwd(d: np.ndarray) -> np.ndarray:
-    # exp only ever sees -|d|, so it cannot overflow; both branches are
-    # finite everywhere, and each matches the split-by-sign form bitwise.
+    # exp only ever sees -|d|, so it cannot overflow. The numerator is 1
+    # where d >= 0 (e <= 1 there) and e elsewhere, so each element matches
+    # the split-by-sign form bitwise; a NaN stays NaN. Taking the maximum
+    # avoids np.where's slow select over a data-dependent mask.
     e = np.exp(-np.abs(d))
     p = 1.0 + e
-    return np.where(d >= 0, 1.0 / p, e / p)
+    return np.maximum(e, (d >= 0).astype(d.dtype)) / p
 
 
 def softmax_rows_fwd(d: np.ndarray, mask=None) -> np.ndarray:
@@ -249,6 +251,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward)
+
+
+def divide(x: Tensor, d: np.ndarray) -> Tensor:
+    """``x / d`` for a constant array ``d`` that broadcasts to ``x``."""
+    d = np.asarray(d, dtype=x.dtype)
+    data = x.data / d
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(_unbroadcast(g / d, x.shape))
+
+    return _make(data, (x,), backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -27,7 +27,6 @@ from .lora import AdapterSet, adapted_project
 from .model import ModelConfig, ModelWeights
 from .router import RouterBank
 from .tensor import Tensor
-from .tokenizer import frame_prompt
 
 
 @dataclass(frozen=True)
@@ -352,19 +351,57 @@ def train_routers(config: ModelConfig, weights: ModelWeights, routers: RouterBan
     return result
 
 
+def _layer_inputs(config: ModelConfig, weights: ModelWeights,
+                  pairs: Sequence[Pair], max_seq: Optional[int],
+                  project=None) -> tuple[np.ndarray, list[Tensor]]:
+    """Run ``pairs`` as one right-padded batch without a gradient.
+
+    Returns the prompt mask and the hidden state entering each layer, over
+    every column but the last (the teacher-forcing input). ``max_seq``
+    bounds the framed pair as ``encode_batch`` does; None leaves the input
+    width to ``forward_full``'s own check.
+    """
+    batch = encode_batch(pairs, max_seq)
+    hs: list[Tensor] = []
+    with T.no_grad():
+        M.forward_full(config, weights, batch.tokens[:, :-1],
+                       attn_mask=batch.attn[:, :-1], project=project, hidden=hs)
+    return batch.prompt_mask[:, :-1], hs
+
+
+def probe_decisions(config: ModelConfig, weights: ModelWeights,
+                    routers: RouterBank, pairs: Sequence[Pair],
+                    project=None) -> list[R.SkipDecision]:
+    """The frozen prefill decision of each prompt in ``pairs``.
+
+    All prompts run as one padded, masked forward. Each router reads its
+    layer input averaged over each row's own prompt tokens, which gives one
+    probability per prompt, and each row is thresholded as ``R.prefill``
+    thresholds that prompt alone; only the float rounding of the padded
+    batch differs. A framed prompt of up to ``config.max_seq`` tokens is
+    accepted, as in ``R.prefill``; a longer one raises ``ShapeError``.
+    """
+    if not pairs:
+        raise DatasetError("need at least one probe pair")
+    if len(routers) != config.n_layers:
+        raise ConfigError(f"{len(routers)} routers for {config.n_layers} layers")
+    # no width limit here: the EOS column encode_batch appends is dropped
+    # before the forward, which checks the prompt width itself
+    pmask, hs = _layer_inputs(config, weights, [(p, b"") for p, _ in pairs],
+                              None, project)
+    with T.no_grad():  # the probe runs mid-training, on routers that need grad
+        rhos = np.stack([R.router_probability(r, h, pmask).data
+                         for r, h in zip(routers.routers, hs)], axis=1)
+    return [R.SkipDecision.from_rhos(row) for row in rhos]
+
+
 def measure_skip_fraction(config: ModelConfig, weights: ModelWeights,
                           routers: RouterBank, pairs: Sequence[Pair],
                           project=None) -> float:
-    """Mean fraction of layers the frozen prefill decision drops over pairs."""
-    if not pairs:
-        raise DatasetError("need at least one probe pair")
-    total = 0.0
-    for prompt, _ in pairs:
-        _, _, decision = R.prefill(config, weights, routers,
-                                   np.asarray(frame_prompt(prompt)),
-                                   project=project)
-        total += decision.skip_fraction
-    return total / len(pairs)
+    """Mean fraction of layers the frozen prefill decision drops over pairs,
+    from one padded forward (``probe_decisions``)."""
+    decisions = probe_decisions(config, weights, routers, pairs, project)
+    return sum(d.skip_fraction for d in decisions) / len(decisions)
 
 
 def mean_hidden_per_layer(config: ModelConfig, weights: ModelWeights,
@@ -373,14 +410,9 @@ def mean_hidden_per_layer(config: ModelConfig, weights: ModelWeights,
     state entering the layer, averaged again over a calibration set."""
     if not pairs:
         raise DatasetError("need at least one calibration pair")
-    batch = encode_batch(pairs, max_seq)
-    toks = batch.tokens[:, :-1]
-    pmask = batch.prompt_mask[:, :-1].astype(np.float64)
+    pmask, hs = _layer_inputs(config, weights, pairs, max_seq)
+    pmask = pmask.astype(np.float64)
     counts = np.maximum(pmask.sum(axis=1), 1.0)[:, None]
-    hs: list[Tensor] = []
-    with T.no_grad():
-        M.forward_full(config, weights, toks, attn_mask=batch.attn[:, :-1],
-                       hidden=hs)
     return np.stack([((h.data * pmask[:, :, None]).sum(axis=1) / counts).mean(axis=0)
                      for h in hs])
 

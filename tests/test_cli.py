@@ -5,8 +5,12 @@ import csv
 import numpy as np
 import pytest
 
+import skiproute.bench as B
 import skiproute.bundle as BU
+import skiproute.lora as L
 import skiproute.model as M
+import skiproute.router as R
+import skiproute.tensor as T
 from skiproute.cli import main
 
 TINY_INI = """\
@@ -181,6 +185,74 @@ def test_compare_subcommand(workdir, capsys):
     assert {r[0] for r in rows[1:]} == {"full", "routed", "unified"}
     for row in rows[1:]:
         assert 0.0 <= float(row[1]) <= 1.0
+
+
+def test_compare_times_every_configuration_with_the_adapters(
+        workdir, monkeypatch, capsys):
+    seen = {}
+    timing = [False]
+    real_measure, real_generate = B.measure_tpot, M.generate
+    real_routed = R.generate_with_routers
+
+    def measure(runs, **kwargs):
+        timing[0] = True
+        try:
+            return real_measure(runs, **kwargs)
+        finally:
+            timing[0] = False
+
+    def recorder(name, real):
+        def run(*args, **kwargs):
+            if timing[0]:
+                seen.setdefault(name, []).append(kwargs.get("project"))
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(B, "measure_tpot", measure)
+    monkeypatch.setattr(M, "generate", recorder("generate", real_generate))
+    monkeypatch.setattr(R, "generate_with_routers",
+                        recorder("routed", real_routed))
+    assert main(["compare", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--routers", workdir["routers"], "--adapters", workdir["adapters"],
+                 "--max-prompts", "1", "--runs", "1", "--warmup", "0"]) == 0
+    capsys.readouterr()
+    # full and unified go through generate, routed through its own call
+    assert len(seen["generate"]) == 2 and len(seen["routed"]) == 1
+    projections = [p for ps in seen.values() for p in ps]
+    assert projections[0] is not None
+    assert all(p is projections[0] for p in projections)
+
+
+def _infer_with(workdir, flag, path):
+    return main(["infer", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--prompt", "abc", flag, path])
+
+
+@pytest.mark.parametrize("count,width", [(3, 16), (2, 8)])
+def test_mismatched_routers_are_refused_at_load(workdir, tmp_path, capsys,
+                                                 count, width):
+    path = str(tmp_path / "routers.bin")
+    BU.save_bundle(path, routers=R.RouterBank(
+        [R.Router(T.Tensor(np.zeros(width))) for _ in range(count)]))
+    assert _infer_with(workdir, "--routers", path) == 2
+    err = capsys.readouterr().err
+    assert f"{count} routers of width [{width}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,shape,message", [
+    ((2, "wq"), (16, 16), "adapter for layer 2 of a 2-layer model"),
+    ((0, "w_gate"), (16, 16), "adapter 0/w_gate: adapter shapes"),
+])
+def test_mismatched_adapters_are_refused_at_load(workdir, tmp_path, capsys,
+                                                  key, shape, message):
+    path = str(tmp_path / "adapters.bin")
+    ad = L.make_adapter(*shape, rank=2, lora_alpha=4.0, dropout_rate=0.0,
+                        rng=np.random.default_rng(0))
+    BU.save_bundle(path, adapters=L.AdapterSet(
+        rank=2, lora_alpha=4.0, dropout_rate=0.0, adapters={key: ad}))
+    assert _infer_with(workdir, "--adapters", path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------ exit codes

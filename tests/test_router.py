@@ -130,6 +130,22 @@ class TestPrefill:
         assert decision.skip_set == frozenset()
         assert cache.filled == [3] * cfg.n_layers and cache.n_positions == 3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_routers_pass_at_every_length(self, dtype):
+        # the masked mean must be exactly 0.5 too; multiplying the sum by a
+        # rounded 1/n gave 0.49999997 at n = 41 and skipped every layer
+        cfg = M.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16)
+        w = M.init_model(cfg, np.random.default_rng(0), dtype=dtype)
+        routers = R.init_routers(cfg, dtype=dtype)
+        toks = np.random.default_rng(1).integers(0, cfg.vocab_size,
+                                                 size=(1, cfg.max_seq))
+        for n in range(1, cfg.max_seq + 1):
+            for mask in (None, np.ones((1, n))):
+                _, _, decision = R.prefill(cfg, w, routers, toks[:, :n],
+                                           attn_mask=mask)
+                assert decision.rho == (0.5,) * cfg.n_layers, (n, mask is None)
+                assert decision.skip_set == frozenset()
+
     def test_logits_ignore_router_weights(self):
         cfg, w = tiny()
         toks = np.array([[4, 5, 6, 7]])

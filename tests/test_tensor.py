@@ -90,10 +90,18 @@ class TestSigmoid:
                  -710.0, np.inf, -np.inf]
         d = np.concatenate([np.array(edges), rng.normal(scale=8.0, size=2000),
                             rng.normal(scale=1e-3, size=200)]).astype(dtype)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = T.sigmoid(T.Tensor(d)).data
-        assert got.dtype == dtype
-        assert np.array_equal(got.view(np.uint8), split_form(d).view(np.uint8))
+        # a block of the FFN gate's size with random signs
+        block = rng.normal(scale=4.0, size=(16, 19, 256)).astype(dtype)
+        for x in (d, block):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = T.sigmoid(T.Tensor(x)).data
+            assert got.dtype == dtype and got.shape == x.shape
+            assert np.array_equal(got.view(np.uint8), split_form(x).view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_stays_nan(self, dtype):
+        got = T.sigmoid_fwd(np.array([np.nan, 1.0, -np.nan], dtype=dtype))
+        assert np.isnan(got[0]) and np.isnan(got[2]) and not np.isnan(got[1])
 
 
 class TestSoftmaxRows:
@@ -233,6 +241,14 @@ class TestStructuralOps:
         check_op_grad(lambda x: T.add(x, T.Tensor(b)), rand64(3, 4))
         check_op_grad(lambda x: T.mul(x, T.Tensor(b)), rand64(3, 4))
         check_op_grad(lambda x: T.scale(x, -1.7), rand64(3, 4))
+        counts = np.array([[3.0], [1.0], [7.0]])
+        check_op_grad(lambda x: T.divide(x, counts), rand64(3, 4))
+
+    def test_divide_is_exact(self):
+        # n * 0.5 / n is 0.5; n * 0.5 * fl(1 / n) is not for n = 41
+        halves = T.Tensor(np.full(41, 0.5, dtype=np.float32))
+        out = T.divide(T.sum_axis(halves, 0), np.array(41))
+        assert out.dtype == np.float32 and out.item() == 0.5
 
     def test_broadcast_unreduces(self):
         # scalar rho broadcast over a full tensor, as in the soft forward

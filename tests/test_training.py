@@ -1,6 +1,7 @@
 """Loss decomposition, optimizer behavior, and the three training phases."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ import skiproute.model as M
 import skiproute.router as R
 import skiproute.tensor as T
 import skiproute.training as TR
-from skiproute.errors import ConfigError, NumericalError
+from skiproute.errors import ConfigError, NumericalError, ShapeError
+from skiproute.tokenizer import frame_prompt
 
 
 def tiny_config(n_layers=2, d_model=16, n_heads=2, d_ff=32):
@@ -435,6 +437,99 @@ def test_measure_skip_fraction_extremes():
     assert TR.measure_skip_fraction(config, weights, bank, val) == 1.0
     with pytest.raises(TR.DatasetError):
         TR.measure_skip_fraction(config, weights, bank, [])
+
+
+# ------------------------------------------------------- the batched probe
+
+# float32 default model: framed prompts of 2 to max_seq tokens, 41 among
+# them; float64 tiny model: 2 to its max_seq of 32
+PROBE_MODELS = {
+    "default32": (M.ModelConfig(), np.float32, (0, 1, 2, 7, 39, 100, 180, 254)),
+    "tiny64": (M.ModelConfig(n_layers=3, d_model=16, n_heads=2, d_ff=32,
+                             max_seq=32), np.float64, (0, 1, 2, 5, 13, 30)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def probe_model(name):
+    config, dtype, lengths = PROBE_MODELS[name]
+    weights = M.init_model(config, np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(1)
+    prompts = [bytes(rng.integers(97, 123, size=n, dtype=np.uint8))
+               for n in lengths]
+    return config, weights, prompts
+
+
+def probe_bank(config, weights, prompts, kind):
+    dtype = weights.embedding.dtype
+    if kind == "zero":
+        return R.init_routers(config, dtype=dtype)
+    # calibrated on the prompts that fit encode_batch's limit
+    bank = TR.warm_start_routers(config, weights, [(p, b"") for p in prompts[:-1]],
+                                 config.max_seq)
+    if kind == "negated":
+        for router in bank:
+            router.weight.data[:] = -router.weight.data
+    return bank
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+@pytest.mark.parametrize("kind", ["zero", "warm", "negated"])
+@pytest.mark.parametrize("model", sorted(PROBE_MODELS))
+def test_probe_matches_sequential_prefill(model, kind, adapted):
+    config, weights, prompts = probe_model(model)
+    bank = probe_bank(config, weights, prompts, kind)
+    project = None
+    if adapted:
+        adapters = L.init_adapters(weights, rank=2,
+                                   rng=np.random.default_rng(2))
+        rng = np.random.default_rng(3)
+        for _, ad in adapters.items():
+            ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape)
+        project = L.adapted_project(adapters)
+    pairs = [(p, b"xyz") for p in prompts]  # responses are not probed
+
+    got = TR.probe_decisions(config, weights, bank, pairs, project=project)
+    want = [R.prefill(config, weights, bank, np.asarray(frame_prompt(p)),
+                      project=project)[2] for p in prompts]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.passed == w.passed
+        np.testing.assert_allclose(g.rho, w.rho, rtol=0.0, atol=1e-6)
+    assert TR.measure_skip_fraction(config, weights, bank, pairs,
+                                    project=project) == \
+        sum(w.skip_fraction for w in want) / len(want)
+
+
+def test_probe_runs_each_layer_once(monkeypatch):
+    config, weights, prompts = probe_model("default32")
+    calls = []
+    real = M.layer_branch
+
+    def counted(config, weights, layer_index, *args, **kwargs):
+        calls.append(layer_index)
+        return real(config, weights, layer_index, *args, **kwargs)
+
+    monkeypatch.setattr(M, "layer_branch", counted)
+    TR.measure_skip_fraction(config, weights, R.init_routers(config),
+                             [(p, b"") for p in prompts])
+    assert calls == list(range(config.n_layers))  # once per layer, not per prompt
+
+
+def test_probe_rejects_what_prefill_rejects():
+    config, weights, _ = probe_model("tiny64")
+    bank = R.init_routers(config, dtype=np.float64)
+    with pytest.raises(TR.DatasetError):
+        TR.measure_skip_fraction(config, weights, bank, [])
+    overlong = [(b"a" * (config.max_seq - 1), b"")]  # framed: max_seq + 1
+    with pytest.raises(ShapeError):
+        TR.measure_skip_fraction(config, weights, bank, overlong)
+    with pytest.raises(ShapeError):
+        R.prefill(config, weights, bank,
+                  np.asarray(frame_prompt(overlong[0][0])))
+    with pytest.raises(ConfigError):
+        TR.measure_skip_fraction(config, weights, R.RouterBank(bank.routers[:1]),
+                                 [(b"a", b"")])
 
 
 def test_train_routers_stop_check_halts_at_first_eval():
