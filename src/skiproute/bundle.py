@@ -4,6 +4,15 @@ Layout: a five-byte magic (four family bytes plus one version digit),
 then sections. Each section is a four-byte ASCII tag, an unsigned 64-bit
 little-endian payload length, and the payload. Tensors are stored as a
 32-bit rank, that many 32-bit extents, then float32 data in C order.
+All integers are unsigned 32-bit little-endian unless said otherwise.
+The model payload is the six config integers (layers, width, heads, FFN
+width, vocabulary, max sequence) then every parameter as a tensor, in
+``ModelWeights.parameters`` order. The router payload is the router
+count and width, then each router's weight as bare float32 data. The
+adapter payload is the rank, ``lora_alpha`` as float32 and the entry
+count, then per entry its layer index, its target name NUL-padded to
+eight bytes, and the A and B factors as tensors.
+
 Every read is bounds-checked before any slice or allocation, so a
 truncated or corrupted file raises a container error instead of failing
 arbitrarily deep in numpy.
@@ -39,9 +48,8 @@ _TAG_PAD = 8
 
 
 def _pack_tensor(arr: np.ndarray) -> bytes:
-    out = struct.pack("<I", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return out + np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    return (struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
+            + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 class _Reader:
@@ -91,15 +99,16 @@ def _expect_shape(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
 
 
 # ------------------------------------------------------------- sections
+# Each packer collects its pieces in a list and joins them once: growing
+# one bytes object piece by piece copies the payload over and over.
 
 
 def _pack_model(weights: ModelWeights) -> bytes:
     c = weights.config
-    out = struct.pack("<6I", c.n_layers, c.d_model, c.n_heads, c.d_ff,
-                      c.vocab_size, c.max_seq)
-    for p in weights.parameters():
-        out += _pack_tensor(p.data)
-    return out
+    out = [struct.pack("<6I", c.n_layers, c.d_model, c.n_heads, c.d_ff,
+                       c.vocab_size, c.max_seq)]
+    out.extend(_pack_tensor(p.data) for p in weights.parameters())
+    return b"".join(out)
 
 
 def _unpack_model(payload: bytes) -> ModelWeights:
@@ -140,13 +149,13 @@ def _pack_routers(routers: RouterBank) -> bytes:
     if len(routers) == 0:
         raise ConfigError("refusing to save an empty router bank")
     d = routers[0].weight.data.shape[0]
-    out = struct.pack("<2I", len(routers), d)
+    out = [struct.pack("<2I", len(routers), d)]
     for router in routers.routers:
         w = np.ascontiguousarray(router.weight.data, dtype="<f4")
         if w.shape != (d,):
             raise BundleShapeError(f"router weight shape {w.shape}, wanted ({d},)")
-        out += w.tobytes()
-    return out
+        out.append(w.tobytes())
+    return b"".join(out)
 
 
 def _unpack_routers(payload: bytes) -> RouterBank:
@@ -168,15 +177,14 @@ def _pack_adapters(adapters: AdapterSet) -> bytes:
     entries = list(adapters.items())
     if not entries:
         raise ConfigError("refusing to save an empty adapter set")
-    out = struct.pack("<IfI", adapters.rank, adapters.lora_alpha, len(entries))
+    out = [struct.pack("<IfI", adapters.rank, adapters.lora_alpha, len(entries))]
     for (layer, name), ad in entries:
         tag = name.encode("ascii")
         if len(tag) > _TAG_PAD:
             raise BundleShapeError(f"target name {name!r} longer than {_TAG_PAD}")
-        out += struct.pack("<I", layer) + tag.ljust(_TAG_PAD, b"\x00")
-        out += _pack_tensor(ad.a.data)
-        out += _pack_tensor(ad.b.data)
-    return out
+        out += (struct.pack("<I", layer), tag.ljust(_TAG_PAD, b"\x00"),
+                _pack_tensor(ad.a.data), _pack_tensor(ad.b.data))
+    return b"".join(out)
 
 
 def _unpack_adapters(payload: bytes) -> AdapterSet:

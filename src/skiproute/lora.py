@@ -124,10 +124,11 @@ def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
         if rng is None:
             raise ConfigError("adapter dropout in training mode needs a generator")
         keep = 1.0 - adapter.dropout_rate
-        mask = (rng.random(x.shape) < keep).astype(x.dtype.type) / x.dtype.type(keep)
-        xa = T.mul(x, Tensor(mask))
-    low = T.matmul(T.matmul(xa, T.transpose(adapter.a, (1, 0))),
-                   T.transpose(adapter.b, (1, 0)))
+        # one pass: kept entries are 1/keep rounded in x's dtype, the rest 0
+        inv_keep = x.dtype.type(1) / x.dtype.type(keep)
+        xa = T.mul(x, Tensor(np.multiply(rng.random(x.shape) < keep, inv_keep,
+                                         dtype=x.dtype)))
+    low = T.linear(T.linear(xa, adapter.a), adapter.b)
     return T.add(base, T.scale(low, adapter.scaling))
 
 

@@ -174,11 +174,15 @@ class KVCache:
 def _ops(tensors, project=None):
     """The tape ops when grad mode is on and some tensor in ``tensors`` or a
     parameter of the ``project`` hook requires grad; else the plain kernels."""
-    if T.grad_enabled():
-        hooked = getattr(project, "parameters", None)
-        for t in itertools.chain(tensors, hooked() if hooked else ()):
-            if isinstance(t, Tensor) and t.requires_grad:
-                return T
+    if not T.grad_enabled():
+        return T.plain
+    if any(isinstance(t, Tensor) and t.requires_grad for t in tensors):
+        return T
+    # only now list the hook's parameters (168 adapter tensors on the
+    # default model); past the first adapted layer the input decides
+    hooked = getattr(project, "parameters", None)
+    if hooked is not None and any(p.requires_grad for p in hooked()):
+        return T
     return T.plain
 
 
@@ -196,7 +200,7 @@ def linear(x, w: Tensor):
     """x @ W.T for a (out_features, in_features) weight: on the tape for a
     Tensor ``x``, on plain arrays (reading ``w.data.T``) for an ndarray."""
     if isinstance(x, Tensor):
-        return T.matmul(x, T.transpose(w, (1, 0)))
+        return T.linear(x, w)
     return T.linear_fwd(x, w.data)
 
 

@@ -13,6 +13,11 @@ or on bare arrays, where inference pays no tape overhead at all.
 Conventions:
   - float32 by default; build tensors as float64 for gradient checks.
   - gradient accumulation is additive; call ``zero_grad`` between passes.
+  - gradients accumulate out of place: a node's first gradient is kept by
+    reference when it already has ``data``'s dtype and layout, so a
+    ``.grad`` may share memory with another node's gradient (``add`` hands
+    one array to both parents, ``reshape``/``transpose`` hand views).
+    Treat every ``.grad`` as read-only.
   - tensors that participate in a graph must not be mutated in place.
 """
 
@@ -88,9 +93,17 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        d = self.data
+        if self.grad is not None:
+            # never in place: the held array may be another node's gradient
+            self.grad = np.add(self.grad, g, out=np.empty_like(d))
+        elif (g.dtype == d.dtype and g.shape == d.shape and g.strides == d.strides
+              and g.flags.writeable):
+            self.grad = g
+        else:
+            # in data's layout, so later products read it as they read data
+            self.grad = np.empty_like(d)
+            self.grad[...] = g
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Reverse-mode sweep from this node; grads add into ``.grad``."""
@@ -101,7 +114,8 @@ class Tensor:
                 raise ValueError("backward() without a seed gradient needs a scalar")
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            # a copy: the caller's array must not become ``.grad``
+            grad = np.array(grad, dtype=self.data.dtype)
             if grad.shape != self.shape:
                 raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
@@ -276,6 +290,27 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ W.T`` for a rank-2 or rank-3 ``x`` and an (out_features,
+    in_features) weight: one node where ``matmul`` of ``transpose`` takes two,
+    computing the same products."""
+    if x.ndim not in (2, 3) or w.ndim != 2:
+        raise ShapeError(f"linear supports rank 2 or 3 by rank 2; got {x.shape} @ {w.shape}.T")
+    if x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
+    data = linear_fwd(x.data, w.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            gw = (np.tensordot(x.data, g, axes=([0, 1], [0, 1])) if x.ndim == 3
+                  else x.data.T @ g)
+            w.accumulate_grad(gw.T)
+
+    return _make(data, (x, w), backward)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product for rank (2,2), (3,2), (3,3) and (4,4) operand pairs.
 
@@ -344,7 +379,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     def backward(g):
         if x.requires_grad:
             ge = np.expand_dims(g, axis) / np.asarray(n, dtype=x.dtype)
-            x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
+            x.accumulate_grad(np.broadcast_to(ge, x.shape))
 
     return _make(data, (x,), backward)
 
@@ -357,8 +392,7 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            ge = np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
+            x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _make(data, (x,), backward)
 
@@ -366,7 +400,7 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = x.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(axes.index(i) for i in range(len(axes)))
 
     def backward(g):
         if x.requires_grad:

@@ -60,6 +60,37 @@ def test_save_load_save_is_byte_identical(tmp_path, parts):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_file_matches_the_documented_layout(tmp_path, parts):
+    """Rebuild the whole file by hand: the magic, then per section a tag and
+    a u64 length, then per tensor its rank, extents and f32 data."""
+    config, weights, bank, adapters = parts
+    path = tmp_path / "all.bin"
+    BU.save_bundle(str(path), weights=weights, routers=bank, adapters=adapters)
+
+    def u32(*values):
+        return struct.pack(f"<{len(values)}I", *values)
+
+    def tensor(arr):
+        return u32(arr.ndim, *arr.shape) + arr.astype("<f4").tobytes()
+
+    def section(tag, payload):
+        return tag + struct.pack("<Q", len(payload)) + payload
+
+    model = u32(config.n_layers, config.d_model, config.n_heads, config.d_ff,
+                config.vocab_size, config.max_seq)
+    model += b"".join(tensor(p.data) for p in weights.parameters())
+    routers = u32(len(bank), config.d_model)
+    routers += b"".join(r.weight.data.astype("<f4").tobytes() for r in bank.routers)
+    lora = u32(adapters.rank) + struct.pack("<f", adapters.lora_alpha)
+    lora += u32(len(adapters.adapters))
+    for (layer, name), ad in sorted(adapters.adapters.items()):
+        lora += u32(layer) + name.encode("ascii").ljust(8, b"\x00")
+        lora += tensor(ad.a.data) + tensor(ad.b.data)
+    want = (b"FRST1" + section(b"MODL", model) + section(b"ROUT", routers)
+            + section(b"LORA", lora))
+    assert path.read_bytes() == want
+
+
 def test_partial_bundles_load(tmp_path, parts):
     _, weights, bank, adapters = parts
     path = tmp_path / "routers.bin"

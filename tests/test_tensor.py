@@ -65,6 +65,39 @@ class TestMatmul:
         check_op_grad(lambda x: T.matmul(T.Tensor(a), x), rand64(2, 4, 5))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_grad_vs_finite_differences(self, x_shape):
+        w = rand64(5, 4)
+        check_op_grad(lambda x: T.linear(x, T.Tensor(w)), rand64(*x_shape))
+        x = rand64(*x_shape)
+        check_op_grad(lambda w: T.linear(T.Tensor(x), w), rand64(5, 4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(7, 16), (3, 7, 16)])
+    def test_bitwise_equal_to_matmul_of_transpose(self, x_shape, dtype):
+        rng = np.random.default_rng(11)
+        x0 = rng.normal(size=x_shape).astype(dtype)
+        w0 = rng.normal(size=(24, 16)).astype(dtype)
+        seed = rng.normal(size=x_shape[:-1] + (24,)).astype(dtype)
+        runs = []
+        for project in (T.linear, lambda x, w: T.matmul(x, T.transpose(w, (1, 0)))):
+            x = T.Tensor(x0, requires_grad=True)
+            w = T.Tensor(w0, requires_grad=True)
+            out = project(x, w)
+            out.backward(seed)
+            runs.append([out.data, x.grad, w.grad])
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(5, 3\)"):
+            T.linear(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((5, 3))))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))))
+
+
 class TestSigmoid:
     def test_values(self):
         out = T.sigmoid(T.Tensor(np.array([0.0, 1e3, 1.0])))
@@ -294,6 +327,39 @@ class TestAutodiffEngine:
         out2 = T.sum_axis(T.mul(x, x), 0)
         out2.backward()
         np.testing.assert_allclose(x.grad, 2 * once)
+
+    def test_leaves_fed_one_gradient_stay_independent(self):
+        # add hands the same array to both parents
+        a = T.Tensor(rand64(3), requires_grad=True)
+        b = T.Tensor(rand64(3), requires_grad=True)
+        seed = rand64(3)
+        T.add(a, b).backward(seed)
+        want = seed.copy()
+        seed[:] = 0.0  # the caller's seed array is not the gradient
+        np.testing.assert_array_equal(a.grad, want)
+        np.testing.assert_array_equal(b.grad, want)
+        more = rand64(3)
+        T.scale(a, 2.0).backward(more)
+        np.testing.assert_array_equal(a.grad, want + 2.0 * more)
+        np.testing.assert_array_equal(b.grad, want)
+
+    @pytest.mark.parametrize("reduce", [T.mean_axis, T.sum_axis])
+    @pytest.mark.parametrize("shape,axis", [((3, 4), 1), ((3, 4), 0), ((3, 1), 1), ((1,), 0)])
+    def test_reduction_gradient_is_writable_in_the_parameter_shape(
+            self, reduce, shape, axis):
+        x = T.Tensor(rand64(*shape), requires_grad=True)
+        out = reduce(x, axis)
+        out.backward(np.ones(out.shape))
+        assert x.grad.shape == shape and x.grad.dtype == x.dtype
+        assert x.grad.flags.writeable
+        x.grad *= 2.0
+
+    def test_scalar_gradient_is_a_writable_array(self):
+        # a 0-d product comes back from numpy as a scalar, not an array
+        x = T.Tensor(np.asarray(1.5), requires_grad=True)
+        T.scale(x, 2.0).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.flags.writeable
+        assert x.grad == 2.0
 
     def test_chain_rule_random_compositions(self):
         ops = [

@@ -362,6 +362,75 @@ def test_accumulation_smooths_but_matches_step_count():
     assert result.steps == 2
 
 
+# The reverse pass as it was: every gradient summed in place into a
+# zero-filled buffer, and every projection a matmul of a transposed weight.
+def _zero_fill_accumulate(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _matmul_of_transpose(x, w):
+    return T.matmul(x, T.transpose(w, (1, 0)))
+
+
+STEP_MODELS = {
+    "default32": (M.ModelConfig(), np.float32),
+    "tiny64": (tiny_config(n_layers=3), np.float64),
+}
+
+
+def one_step_bytes(monkeypatch, model, phase):
+    """Gradients at the one optimizer step of ``phase`` and the trained
+    parameters, as bytes with -0.0 folded into 0.0."""
+    config, dtype = STEP_MODELS[model]
+    weights = M.init_model(config, np.random.default_rng(3), dtype=dtype)
+    rng = np.random.default_rng(4)
+    bank = R.init_routers(config, dtype=dtype)
+    for router in bank:
+        router.weight.data[:] = rng.normal(0.0, 0.5, size=config.d_model)
+    adapters = L.init_adapters(weights, rank=2, dropout_rate=0.1, rng=rng)
+    for _, ad in adapters.items():
+        ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape)
+    train, val, _ = copy_pairs(8, seed=6)
+    # two micro-batches of four: one step whose gradients add across passes
+    tc = TR.TrainConfig(batch_size=4, accum_steps=2, max_epochs=1, alpha=0.3,
+                        max_seq=config.max_seq, seed=2)
+    grads = []
+    step = TR.Adam.step
+
+    def recording_step(opt, lr):
+        grads.extend(p.grad.copy() for p in opt.params if p.grad is not None)
+        step(opt, lr)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(TR.Adam, "step", recording_step)
+        if phase == "model":
+            TR.train_model(config, weights, train, val, tc)
+            params = list(weights.parameters())
+        elif phase == "routers":
+            TR.train_routers(config, weights, bank, train, val, tc)
+            params = bank.parameters()
+        else:
+            TR.train_lora(config, weights, bank, adapters, train, val, tc)
+            params = adapters.parameters()
+    assert len(grads) == len(params)
+    return [(a + 0.0).tobytes() for a in grads + [p.data for p in params]]
+
+
+@pytest.mark.parametrize("phase", ["model", "routers", "lora"])
+@pytest.mark.parametrize("model", sorted(STEP_MODELS))
+def test_reverse_pass_is_bitwise_equal_to_zero_filled_accumulation(
+        monkeypatch, model, phase):
+    lean = one_step_bytes(monkeypatch, model, phase)
+    with monkeypatch.context() as mp:
+        mp.setattr(T.Tensor, "accumulate_grad", _zero_fill_accumulate)
+        mp.setattr(T, "linear", _matmul_of_transpose)
+        reference = one_step_bytes(monkeypatch, model, phase)
+    assert len(lean) == len(reference)
+    assert lean == reference
+
+
 def test_phase2_divisor_scales_the_penalty():
     tc = TR.TrainConfig(alpha=0.9)
     assert tc.alpha / tc.phase2_divisor == pytest.approx(0.3)
