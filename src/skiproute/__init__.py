@@ -19,11 +19,11 @@ from .errors import (BadMagicError, BundleError, BundleShapeError,
                      VersionError, VocabularyError)
 from .lora import (AdapterSet, LoraAdapter, adapted_matmul, adapted_project,
                    init_adapters, merge)
-from .metrics import (ScoreTriple, SkipStats, bleu_n, collect_skip_stats,
-                      read_decision_log, rouge_1, rouge_l, write_decision_log)
+from .metrics import (SkipStats, bleu_n, collect_skip_stats, read_decision_log,
+                      write_decision_log)
 from .model import (GenerationResult, KVCache, ModelConfig, ModelWeights,
-                    SamplerConfig, decode_step, delete_layers, forward_full,
-                    generate, init_model)
+                    SamplerConfig, decode_step, forward_full, generate,
+                    init_model)
 from .oracle import (OracleEntry, OracleResult, brute_force_oracle,
                      dataset_exact_match, golden_exact_match,
                      negative_perplexity, subsequence_forward,

@@ -54,50 +54,6 @@ def bleu_n(candidate: Sequence, reference: Sequence, max_n: int = 2) -> float:
     return brevity * math.exp(log_sum)
 
 
-@dataclass(frozen=True)
-class ScoreTriple:
-    precision: float
-    recall: float
-    f1: float
-
-
-def _triple(overlap: float, cand_len: int, ref_len: int) -> ScoreTriple:
-    p = overlap / cand_len if cand_len else 0.0
-    r = overlap / ref_len if ref_len else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return ScoreTriple(precision=p, recall=r, f1=f1)
-
-
-def rouge_1(candidate: Sequence, reference: Sequence) -> ScoreTriple:
-    """Clipped unigram overlap as precision, recall, and F1."""
-    candidate = list(candidate)
-    reference = list(reference)
-    cand = Counter(candidate)
-    ref = Counter(reference)
-    overlap = sum(min(c, ref[t]) for t, c in cand.items())
-    return _triple(overlap, len(candidate), len(reference))
-
-
-def _lcs_length(a: Sequence, b: Sequence) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
-
-
-def rouge_l(candidate: Sequence, reference: Sequence) -> ScoreTriple:
-    """Longest-common-subsequence overlap as precision, recall, and F1."""
-    candidate = list(candidate)
-    reference = list(reference)
-    lcs = _lcs_length(candidate, reference)
-    return _triple(lcs, len(candidate), len(reference))
-
-
 # ------------------------------------------------------- skip statistics
 
 

@@ -29,7 +29,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import CacheConsistencyError, ConfigError, NumericalError, ShapeError
+from .errors import (CacheConsistencyError, ConfigError, MaskError, NumericalError,
+                     ShapeError)
 from .tensor import Tensor
 from .tokenizer import VOCAB_SIZE
 
@@ -139,7 +140,8 @@ class KVCache:
     """Per-layer key/value buffers for one generation session.
 
     Buffers are head-major, (batch, heads, max_seq, head_dim), so the
-    filled prefix of every head is read as a view. ``decode_skip`` is the
+    filled prefix of every head is read as a view, and only that prefix is
+    ever read, so the buffers start uninitialised. ``decode_skip`` is the
     layer set this cache is bound to for decoding; every decode step must
     present the same set. Layers the session never executes keep a filled
     count of 0 and are never read.
@@ -150,8 +152,8 @@ class KVCache:
         shape = (batch_size, config.n_heads, config.max_seq, config.head_dim)
         self.config = config
         self.batch_size = batch_size
-        self.k = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
-        self.v = [np.zeros(shape, dtype=dtype) for _ in range(config.n_layers)]
+        self.k = [np.empty(shape, dtype=dtype) for _ in range(config.n_layers)]
+        self.v = [np.empty(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.filled = [0] * config.n_layers
         self.n_positions = 0
         self.decode_skip = frozenset(int(i) for i in decode_skip)
@@ -208,25 +210,29 @@ def _plain_project(x, w: Tensor, layer_index: int, name: str):
     return linear(x, w)
 
 
-def _attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
-                    t_len: int) -> Optional[np.ndarray]:
+def attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
+                   t_len: int) -> Optional[np.ndarray]:
     """Which of ``t_len`` keys each of ``n`` queries may read, broadcastable
     over (b, heads, n, t_len): causal, and no padding. The queries are the
     last ``n`` keys. None when every key is allowed, as for one new token
-    with no padding mask."""
+    with no padding mask. A query left no key to read raises ``MaskError``.
+    """
     if attn_mask is None and n == 1:
         return None
     past = t_len - n
     causal = np.arange(t_len)[None, :] <= (past + np.arange(n))[:, None]
     if attn_mask is None:
-        return causal
+        return causal  # every query reads its own key
     key_valid = np.ones((b, t_len), dtype=bool)
     key_valid[:, past:past + n] = np.asarray(attn_mask) != 0
-    return causal[None, None] & key_valid[:, None, None, :]
+    keep = causal[None, None] & key_valid[:, None, None, :]
+    if not keep.any(axis=-1).all():
+        raise MaskError("attention row with every key masked")
+    return keep
 
 
 def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
-               attn_mask: Optional[np.ndarray], positions: np.ndarray,
+               mask: Optional[np.ndarray], positions: np.ndarray,
                cache: Optional[KVCache], layer_index: int, project):
     b, n, d = x.shape
     h, hd = config.n_heads, config.head_dim
@@ -248,15 +254,14 @@ def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
         k, v = (ops.lift(t) for t in cache.append(
             layer_index, T.plain.lift(k), T.plain.lift(v)))
 
-    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), hd**-0.5)
-    att = ops.softmax_rows(scores, _attention_mask(attn_mask, b, n, k.shape[2]))
-    out = ops.reshape(ops.transpose(ops.matmul(att, v), (0, 2, 1, 3)), (b, n, d))
+    out = ops.attention(q, k, v, hd**-0.5, mask)
+    out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, d))
     return project(out, lw.wo, layer_index, "wo")
 
 
 def _ffn(ops, lw: LayerWeights, x, layer_index: int, project):
-    g = project(x, lw.w_gate, layer_index, "w_gate")
-    gated = ops.mul(ops.mul(g, ops.sigmoid(g)), project(x, lw.w_up, layer_index, "w_up"))
+    gated = ops.swiglu(project(x, lw.w_gate, layer_index, "w_gate"),
+                       project(x, lw.w_up, layer_index, "w_up"))
     return project(gated, lw.w_down, layer_index, "w_down")
 
 
@@ -264,13 +269,17 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
                  x, attn_mask: Optional[np.ndarray] = None,
                  cache: Optional[KVCache] = None,
                  positions: Optional[np.ndarray] = None,
-                 project=None):
+                 project=None, mask: Optional[np.ndarray] = None):
     """The layer's residual contribution: attention delta plus FFN delta.
 
     ``project(x, w, layer_index, name)`` lets callers wrap every weight
     application (low-rank adapters); it defaults to the plain projection.
     It gets a Tensor on the tape and an ndarray otherwise, and a hook that
     applies parameters of its own lists them in ``project.parameters()``.
+
+    ``mask`` is the ``attention_mask`` of ``attn_mask`` for this block: a
+    pass over many layers builds it once and hands it to each. When None,
+    the layer builds it from ``attn_mask``.
 
     The layer runs on the tape when grad mode is on and ``x`` or a
     parameter it applies requires grad, else on plain arrays. ``x`` is a
@@ -281,15 +290,18 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
         project = _plain_project
     if positions is None:
         positions = np.arange(x.shape[1])
-    if cache is not None and cache.filled[layer_index] != int(positions[0]):
+    past = 0 if cache is None else cache.filled[layer_index]
+    if cache is not None and past != int(positions[0]):
         raise CacheConsistencyError(
             f"layer {layer_index}: positions start at {int(positions[0])} but the "
-            f"cache holds {cache.filled[layer_index]} rows")
+            f"cache holds {past} rows")
+    if mask is None:
+        mask = attention_mask(attn_mask, x.shape[0], x.shape[1], past + x.shape[1])
     lw = weights.layers[layer_index]
     positions = np.asarray(positions)
 
     def branch(ops, x):
-        a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), attn_mask,
+        a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), mask,
                        positions, cache, layer_index, project)
         f = _ffn(ops, lw, ops.rmsnorm(ops.add(x, a), lw.ffn_norm), layer_index, project)
         return ops.add(a, f)
@@ -301,10 +313,10 @@ def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                   x, attn_mask: Optional[np.ndarray] = None,
                   cache: Optional[KVCache] = None,
                   positions: Optional[np.ndarray] = None,
-                  project=None):
+                  project=None, mask: Optional[np.ndarray] = None):
     """Residual-added layer output, of the kind ``layer_branch`` returns."""
     branch = layer_branch(config, weights, layer_index, x,
-                          attn_mask, cache, positions, project)
+                          attn_mask, cache, positions, project, mask)
     if isinstance(branch, Tensor):
         return T.add(T.lift(x), branch)
     return x + branch
@@ -326,7 +338,8 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     ``cache.n_positions`` and executed layers append their K,V rows. With
     ``hidden``, the hidden state entering each executed layer is appended
     to it as a Tensor (what the routers read at prefill). Where nothing
-    requires grad the whole pass runs on plain arrays.
+    requires grad the whole pass runs on plain arrays. The attention mask
+    is built and checked once and shared by every layer.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -339,12 +352,14 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     positions = np.arange(start, start + n)
 
     h = _ops((weights.embedding,)).embedding(weights.embedding, tokens)
+    mask = attention_mask(attn_mask, tokens.shape[0], n, start + n)
     for i in range(config.n_layers):
         if i in skip:
             continue
         if hidden is not None:
             hidden.append(T.lift(h))
-        h = layer_forward(config, weights, i, h, attn_mask, cache, positions, project)
+        h = layer_forward(config, weights, i, h, attn_mask, cache, positions,
+                          project, mask)
     if cache is not None:
         cache.n_positions += n
     return T.lift(_finish(weights, h))
@@ -473,17 +488,3 @@ def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[in
     return _generate(config, weights, prompt_ids, max_new_tokens, prefill,
                      sampler, rng, stop_at, project)[0]
 
-
-def delete_layers(weights: ModelWeights, drop: Sequence[int]) -> ModelWeights:
-    """A physically smaller model with the given layers removed."""
-    drop_set = frozenset(int(i) for i in drop)
-    kept = [lw for i, lw in enumerate(weights.layers) if i not in drop_set]
-    if not kept:
-        raise ConfigError("cannot delete every layer")
-    cfg = weights.config
-    new_cfg = ModelConfig(n_layers=len(kept), d_model=cfg.d_model,
-                          n_heads=cfg.n_heads, d_ff=cfg.d_ff,
-                          vocab_size=cfg.vocab_size, max_seq=cfg.max_seq)
-    return ModelWeights(config=new_cfg, embedding=weights.embedding,
-                        layers=kept, final_norm=weights.final_norm,
-                        head=weights.head)

@@ -118,10 +118,11 @@ def unify_batch(rhos: Tensor) -> Tensor:
 def soft_layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                        hidden: Tensor, rho: Tensor,
                        attn_mask: Optional[np.ndarray] = None,
-                       project=None) -> Tensor:
-    """hidden + rho * branch: exact layer at rho=1, exact identity at rho=0."""
+                       project=None, mask: Optional[np.ndarray] = None) -> Tensor:
+    """hidden + rho * branch: exact layer at rho=1, exact identity at rho=0.
+    ``mask`` is the prebuilt attention mask, as for ``M.layer_branch``."""
     branch = M.layer_branch(config, weights, layer_index, hidden, attn_mask,
-                            project=project)
+                            project=project, mask=mask)
     return T.add(hidden, T.mul(rho, branch))
 
 
@@ -144,11 +145,13 @@ def soft_forward(config: ModelConfig, weights: ModelWeights, routers: RouterBank
         router_mask = attn_mask
 
     h = T.embedding(weights.embedding, tokens)
+    b, n = tokens.shape
+    mask = M.attention_mask(attn_mask, b, n, n)
     rhos: list[Tensor] = []
     for i in range(config.n_layers):
         rho = unify_batch(router_probability(routers[i], h, router_mask))
         rhos.append(rho)
-        h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project)
+        h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project, mask)
     return M._finish(weights, h), rhos
 
 

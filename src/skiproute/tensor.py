@@ -185,9 +185,14 @@ def sigmoid_fwd(d: np.ndarray) -> np.ndarray:
     # where d >= 0 (e <= 1 there) and e elsewhere, so each element matches
     # the split-by-sign form bitwise; a NaN stays NaN. Taking the maximum
     # avoids np.where's slow select over a data-dependent mask.
-    e = np.exp(-np.abs(d))
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     p = 1.0 + e
-    return np.maximum(e, (d >= 0).astype(d.dtype)) / p
+    out = (d >= 0).astype(d.dtype)
+    np.maximum(e, out, out=out)
+    out /= p
+    return out
 
 
 def softmax_rows_fwd(d: np.ndarray, mask=None) -> np.ndarray:
@@ -205,6 +210,31 @@ def softmax_rows_fwd(d: np.ndarray, mask=None) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
+                  mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax_rows(scale(q @ kᵀ), mask) @ v`` and the attention weights
+    (for backward); see ``attention``. After the product every step works
+    in place on the scores buffer; ``q``, ``k`` and ``v`` (perhaps views of
+    a KV cache) are only read."""
+    s = q @ k.swapaxes(-1, -2)
+    s *= np.asarray(scale, dtype=s.dtype)
+    if mask is not None:
+        np.copyto(s, np.array(-1e9, dtype=s.dtype), where=np.logical_not(mask))
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s @ v, s
+
+
+def swiglu_fwd(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``g * sigmoid(g) * u``, the gated FFN's activation, and ``sigmoid(g)``
+    (for backward); the product is formed in the output's own buffer."""
+    sig = sigmoid_fwd(g)
+    out = g * sig
+    out *= u
+    return out, sig
 
 
 def embedding_fwd(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -365,6 +395,64 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
             x.accumulate_grad(out * (g - inner))
 
     return _make(out, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tensor:
+    """``softmax_rows(scale(q @ kᵀ), mask) @ v`` as one node, for
+    (b, heads, n, hd) queries and (b, heads, t, hd) keys and values; forward
+    and gradients match the composed ops bitwise.
+
+    ``mask`` (nonzero = keep) broadcasts against the (b, heads, n, t) scores
+    and must leave every row a key. Unlike ``softmax_rows`` this op does not
+    check that: a forward pass checks its mask once for all its layers.
+    """
+    if not q.ndim == k.ndim == v.ndim == 4 or k.shape[:3] != v.shape[:3] \
+            or q.shape[:2] + q.shape[3:] != k.shape[:2] + k.shape[3:]:
+        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = float(scale)
+    out, p = attention_fwd(q.data, k.data, v.data, scale, mask)
+
+    # each gradient is the composed ops' expression, rounded in the same
+    # order on the same layouts, computed in place on buffers made here
+    def backward(g):
+        if v.requires_grad:
+            v.accumulate_grad(p.swapaxes(-1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            gs = g @ v.data.swapaxes(-1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= np.asarray(scale, dtype=gs.dtype)
+            if q.requires_grad:
+                q.accumulate_grad(gs @ k.data)
+            if k.requires_grad:
+                k.accumulate_grad((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+
+    return _make(out, (q, k, v), backward)
+
+
+def swiglu(g: Tensor, u: Tensor) -> Tensor:
+    """The gated FFN's activation ``g * sigmoid(g) * u`` as one node; forward
+    and gradients match the composed ops bitwise."""
+    if g.shape != u.shape:
+        raise ShapeError(f"swiglu operands disagree: {g.shape} vs {u.shape}")
+    out, sig = swiglu_fwd(g.data, u.data)
+
+    def backward(G):
+        if u.requires_grad:
+            gu = g.data * sig
+            gu *= G
+            u.accumulate_grad(gu)
+        if g.requires_grad:
+            gg = G * u.data
+            gsig = gg * g.data
+            gsig *= sig
+            gsig *= 1.0 - sig
+            gg *= sig
+            # the product's and the sigmoid's terms, added as the graph adds them
+            g.accumulate_grad(gg)
+            g.accumulate_grad(gsig)
+
+    return _make(out, (g, u), backward)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -547,11 +635,8 @@ def parameters_norm_sq(params: Iterable[Tensor]) -> Tensor:
 plain = SimpleNamespace(
     lift=lambda x: x.data if isinstance(x, Tensor) else x,
     add=np.add,
-    mul=np.multiply,
-    matmul=np.matmul,
-    scale=lambda x, s: scale_fwd(x, float(s)),
-    sigmoid=sigmoid_fwd,
-    softmax_rows=softmax_rows_fwd,
+    attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
+    swiglu=lambda g, u: swiglu_fwd(g, u)[0],
     transpose=lambda x, axes: x.transpose(axes),
     reshape=lambda x, shape: x.reshape(shape),
     embedding=lambda table, ids: embedding_fwd(table.data, np.asarray(ids)),

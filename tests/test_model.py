@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from skiproute import model as M
 from skiproute import router as R
 from skiproute import tensor as T
 from skiproute import training as TR
-from skiproute.errors import (CacheConsistencyError, ConfigError, NumericalError,
-                              ShapeError, VocabularyError)
+from skiproute.errors import (CacheConsistencyError, ConfigError, MaskError,
+                              NumericalError, ShapeError, VocabularyError)
 
 
 def tiny_model(m=3, d=16, heads=2, d_ff=32, vocab=40, max_seq=32, seed=0, dtype=np.float32):
@@ -113,8 +114,11 @@ class TestForwardFull:
         toks = tokens_for(cfg, 7)
         for i in range(cfg.n_layers):
             skipped = M.forward_full(cfg, w, toks, skip_set={i})
-            smaller = M.delete_layers(w, {i})
-            direct = M.forward_full(smaller.config, smaller, toks)
+            # the same weights with layer i physically removed
+            small_cfg = dataclasses.replace(cfg, n_layers=cfg.n_layers - 1)
+            smaller = M.ModelWeights(small_cfg, w.embedding, w.layers[:i] + w.layers[i + 1:],
+                                     w.final_norm, w.head)
+            direct = M.forward_full(small_cfg, smaller, toks)
             assert np.max(np.abs(skipped.data - direct.data)) == 0.0
 
     def test_causality(self):
@@ -137,6 +141,18 @@ class TestForwardFull:
         cfg, w = tiny_model(max_seq=8)
         with pytest.raises(ShapeError):
             M.forward_full(cfg, w, tokens_for(cfg, 9))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_fully_masked_attention_row_raises(self, grad):
+        # the first query reads only itself; masking it leaves that row empty
+        cfg, w = tiny_model()
+        w.set_requires_grad(grad)
+        toks = tokens_for(cfg, 5)
+        attn = np.array([[0, 1, 1, 1, 1]])
+        with pytest.raises(MaskError):
+            M.forward_full(cfg, w, toks, attn_mask=attn)
+        with pytest.raises(MaskError):
+            M.layer_branch(cfg, w, 0, T.Tensor(np.zeros((1, 5, cfg.d_model))), attn)
 
 
 class TestKVCacheEquivalence:
@@ -169,10 +185,55 @@ class TestKVCacheEquivalence:
     def test_skipped_layer_never_written(self):
         cfg, w = tiny_model()
         cache = M.KVCache(cfg, decode_skip=(1,))
+        # the buffers start uninitialised; a NaN fill shows any write
+        for buf in cache.k + cache.v:
+            buf.fill(np.nan)
         with T.no_grad():
             M.forward_full(cfg, w, tokens_for(cfg, 5), skip_set=(1,), cache=cache)
         assert cache.filled == [5, 0, 5]
-        assert not cache.k[1].any()
+        assert np.isnan(cache.k[1]).all() and np.isnan(cache.v[1]).all()
+
+    def test_unfilled_rows_are_never_read(self, monkeypatch):
+        # every generation path must read only the rows it wrote: a cache
+        # whose buffers start as NaN gives the zeroed cache's bits exactly
+        cfg, w = tiny_model(m=4)
+        prompt = tokens_for(cfg, 6, seed=5)
+        bank = R.RouterBank([R.Router(T.Tensor(np.full(cfg.d_model, s, dtype=np.float32)))
+                             for s in (2.0, -9.0, 0.0, 9.0)])
+
+        def run(fill):
+            class Filled(M.KVCache):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    for buf in self.k + self.v:
+                        buf.fill(fill)
+
+            monkeypatch.setattr(M, "KVCache", Filled)
+            monkeypatch.setattr(R, "KVCache", Filled)
+            out = []
+            for skip in ((), (1, 2)):
+                out.append(M.generate(cfg, w, prompt[0], 8, skip_set=skip).tokens)
+                with T.no_grad():
+                    cache = M.KVCache(cfg, decode_skip=skip)
+                    out.append(M.forward_full(cfg, w, prompt, skip_set=skip, cache=cache).data)
+                    for tok in (3, 7, 1):
+                        out.append(M.decode_step(cfg, w, np.array([[tok]]), cache, skip).data)
+            logits, cache, decision = R.prefill(cfg, w, bank, prompt)
+            assert 0 < len(decision.skip_set) < cfg.n_layers
+            out.append(logits.data)
+            with T.no_grad():
+                out.append(M.decode_step(cfg, w, np.array([[3]]), cache,
+                                         decision.skip_set).data)
+            res, routed = R.generate_with_routers(cfg, w, bank, prompt[0], 8)
+            out += [res.tokens, routed.skip_set]
+            return out
+
+        poisoned, zeroed = run(np.nan), run(0.0)
+        for got, want in zip(poisoned, zeroed):
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
 
     def test_decode_skip_mismatch(self):
         cfg, w = tiny_model()

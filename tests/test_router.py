@@ -296,6 +296,17 @@ class TestSoftForward:
         assert all(r.item() == 0.5 for r in rhos)
         assert np.any(logits.data != M.forward_full(cfg, w, toks).data)
 
+    def test_fully_masked_attention_row_raises(self):
+        # the routers may read every position; the first query's only key
+        # is masked, so attention has an empty row
+        cfg, w = tiny()
+        routers = R.init_routers(cfg)
+        routers.set_requires_grad(True)
+        with pytest.raises(MaskError):
+            R.soft_forward(cfg, w, routers, np.array([[1, 2, 3, 4]]),
+                           attn_mask=np.array([[0, 1, 1, 1]]),
+                           router_mask=np.ones((1, 4)))
+
     def test_router_gradient_reaches_weights(self):
         cfg, w = tiny(m=2, d=8, heads=2, d_ff=16, vocab=12, dtype=np.float64)
         routers = R.init_routers(cfg, dtype=np.float64)

@@ -168,6 +168,99 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out, shifted, atol=1e-9)
 
 
+def _causal_keep(n, t):
+    return np.arange(t)[None, :] <= (t - n + np.arange(n))[:, None]
+
+
+def _attention_case(case):
+    """(q, k, v, mask) arrays laid out as the model lays them out: q, k and
+    v are head views of (b, n, heads, hd) rows; decode reads k and v as the
+    filled prefix of cache buffers."""
+    rng = np.random.default_rng(17)
+    h, hd = 4, 16
+
+    def heads(b, n):
+        return rng.normal(size=(b, n, h, hd)).astype(np.float32).transpose(0, 2, 1, 3)
+
+    if case == "prefill":
+        return heads(1, 24), heads(1, 24), heads(1, 24), _causal_keep(24, 24)
+    if case == "decode":
+        k_buf = rng.normal(size=(1, h, 32, hd)).astype(np.float32)
+        v_buf = rng.normal(size=(1, h, 32, hd)).astype(np.float32)
+        return heads(1, 1), k_buf[:, :, :13], v_buf[:, :, :13], None
+    # a right-padded batch: row 1 has two pad tokens, row 2 has five
+    valid = np.ones((3, 9), dtype=bool)
+    valid[1, 7:] = False
+    valid[2, 4:] = False
+    keep = _causal_keep(9, 9)[None, None] & valid[:, None, None, :]
+    return heads(3, 9), heads(3, 9), heads(3, 9), keep
+
+
+def _composed_attention(q, k, v, scale, mask):
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+    return T.matmul(T.softmax_rows(scores, mask), v)
+
+
+def _assert_same_forward_and_grads(fused, composed, arrays, seed):
+    runs = []
+    for op in (fused, composed):
+        ins = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*ins)
+        out.backward(seed)
+        runs.append([out.data] + [t.grad for t in ins])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return runs[1][0]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", ["prefill", "decode", "padded"])
+    def test_bitwise_equal_to_composed_ops(self, case):
+        q, k, v, mask = _attention_case(case)
+        before = [a.copy() for a in (q, k, v)]
+        seed = np.random.default_rng(5).normal(size=q.shape).astype(np.float32)
+        # the model's 1/sqrt(16) is exact; 0.3 also shows the rounding order
+        for scale in (16 ** -0.5, 0.3):
+            want = _assert_same_forward_and_grads(
+                lambda *t: T.attention(*t, scale, mask),
+                lambda *t: _composed_attention(*t, scale, mask), (q, k, v), seed)
+            assert T.plain.attention(q, k, v, scale, mask).tobytes() == want.tobytes()
+        # the operands, cache views included, are only read
+        for a, b in zip((q, k, v), before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_grad(self):
+        keep = _causal_keep(3, 5)
+        keep[1, 0] = False
+        q, k, v = rand64(2, 2, 3, 4), rand64(2, 2, 5, 4), rand64(2, 2, 5, 4)
+        check_op_grad(lambda x: T.attention(x, T.Tensor(k), T.Tensor(v), 0.5, keep), q)
+        check_op_grad(lambda x: T.attention(T.Tensor(q), x, T.Tensor(v), 0.5, keep), k)
+        check_op_grad(lambda x: T.attention(T.Tensor(q), T.Tensor(k), x, 0.5, keep), v)
+
+    def test_shape_errors(self):
+        q = T.Tensor(np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.attention(q, T.Tensor(np.zeros((2, 3, 4))), q, 1.0)
+        with pytest.raises(ShapeError):
+            T.attention(q, q, T.Tensor(np.zeros((1, 2, 5, 4))), 1.0)
+
+
+class TestSwiglu:
+    @pytest.mark.parametrize("shape", [(1, 24, 64), (1, 1, 64), (3, 9, 64)])
+    def test_bitwise_equal_to_composed_ops(self, shape):
+        rng = np.random.default_rng(8)
+        g, u, seed = (rng.normal(scale=3.0, size=shape).astype(np.float32) for _ in range(3))
+        want = _assert_same_forward_and_grads(
+            T.swiglu, lambda g, u: T.mul(T.mul(g, T.sigmoid(g)), u), (g, u), seed)
+        assert T.plain.swiglu(g, u).tobytes() == want.tobytes()
+
+    def test_grad(self):
+        g, u = rand64(2, 3, 4), rand64(2, 3, 4)
+        check_op_grad(lambda x: T.swiglu(x, T.Tensor(u)), g)
+        check_op_grad(lambda x: T.swiglu(T.Tensor(g), x), u)
+
+
 class TestMeanSum:
     def test_constant(self):
         out = T.mean_axis(T.Tensor(np.full((2, 5), 3.25)), axis=1)
