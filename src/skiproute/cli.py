@@ -111,16 +111,14 @@ def cmd_pretrain(args) -> int:
     exp = load_experiment(args.config)
     config, weights = _load_model(args.model)
     train, val, _ = generate_dataset(exp.task)
-    accuracy_fn = None
+    stop_check = None
     if args.target_accuracy is not None:
         quality = O.dataset_exact_match(config, weights, val,
                                         _max_new(exp, args.max_new))
-        def accuracy_fn():
-            return quality(frozenset())
+        def stop_check():
+            return quality(frozenset()) >= args.target_accuracy
     result = TR.train_model(config, weights, train, val, exp.train,
-                            accuracy_fn=accuracy_fn,
-                            target_accuracy=args.target_accuracy,
-                            log_path=args.log)
+                            log_path=args.log, stop_check=stop_check)
     save_bundle(args.out, weights=weights)
     print(f"pretrained for {result.steps} steps, "
           f"best val ce {result.best_val_ce:.4f} -> {args.out}")
@@ -256,11 +254,8 @@ def cmd_stats(args) -> int:
         config, weights = _load_model(args.model)
         routers = _load_routers(args.routers, config)
         _, _, test = generate_dataset(exp.task)
-        decisions = []
-        for prompt, _ in test[:args.max_prompts]:
-            _, _, decision = R.prefill(config, weights, routers,
-                                       np.asarray(frame_prompt(prompt)))
-            decisions.append(decision)
+        decisions = TR.probe_decisions(config, weights, routers,
+                                       test[:args.max_prompts])
         if args.dump:
             X.write_decision_log(args.dump, decisions)
     stats = X.collect_skip_stats(decisions)

@@ -508,23 +508,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
-    if not xs:
-        raise ShapeError("concat of zero tensors")
-    data = np.concatenate([t.data for t in xs], axis=axis)
-    sizes = [t.shape[axis] for t in xs]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
-
-    return _make(data, tuple(xs), backward)
-
-
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather; backward scatter-adds into the table."""
     ids = np.asarray(ids)

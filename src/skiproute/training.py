@@ -12,6 +12,7 @@ cross entropy alone.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -128,16 +129,9 @@ def loss_total(logits: Tensor, targets: np.ndarray, ignore_mask: np.ndarray,
                lam: float, alpha_eff: float) -> LossBreakdown:
     """ce on unmasked targets + lam * router l2 + alpha_eff * summed rho."""
     ce = T.cross_entropy(logits, targets, ignore_mask)
-    if routers is not None:
-        reg = T.parameters_norm_sq(routers.parameters())
-    else:
-        reg = Tensor(np.zeros((), dtype=ce.dtype))
-    if rhos:
-        pp = rhos[0]
-        for r in rhos[1:]:
-            pp = T.add(pp, r)
-    else:
-        pp = Tensor(np.zeros((), dtype=ce.dtype))
+    zero = Tensor(np.zeros((), dtype=ce.dtype))
+    reg = zero if routers is None else T.parameters_norm_sq(routers.parameters())
+    pp = functools.reduce(T.add, rhos) if rhos else zero
     total = T.add(ce, T.add(T.scale(reg, lam), T.scale(pp, alpha_eff)))
     return LossBreakdown(ce=ce, reg=reg, pp=pp, total=total,
                          lam=lam, alpha_eff=alpha_eff)
@@ -185,8 +179,10 @@ def _val_batches(pairs: Sequence[Pair], tc: TrainConfig) -> list[Batch]:
 def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ...]]],
               val_ce: Callable[[], float], params: Sequence[Tensor],
               train_pairs: Sequence[Pair], tc: TrainConfig, n_layers: int,
-              stop_check: Optional[Callable[[], bool]] = None) -> TrainResult:
-    """Shared engine: accumulate, step, evaluate, stop on stale validation."""
+              stop_check: Optional[Callable[[], bool]]) -> TrainResult:
+    """Shared engine: accumulate, step, evaluate, stop on stale validation
+    or when ``stop_check``, run without a gradient right after each
+    validation, returns True."""
     if not train_pairs:
         raise DatasetError("training set is empty")
     opt = Adam(params)
@@ -224,16 +220,16 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
             stale += 1
             if stale >= tc.patience:
                 stopped = True
-        if stop_check is not None and stop_check():
-            stopped = True
+        if stop_check is not None:
+            with T.no_grad():
+                stopped = bool(stop_check()) or stopped
 
     for _ in range(tc.max_epochs):
         for batch in iter_minibatches(train_pairs, tc.batch_size, shuffle_rng, tc.max_seq):
             bd, rho_vals = batch_loss(batch)
             bd.verify()
             window[:] += (bd.ce.item(), bd.reg.item(), bd.pp.item(), bd.total.item())
-            if rho_vals:
-                window_rho += np.asarray(rho_vals)
+            window_rho += rho_vals
             window_n += 1
             bd.total.backward(np.asarray(1.0 / tc.accum_steps, dtype=bd.total.dtype))
             micro += 1
@@ -272,46 +268,71 @@ def _mean_val_ce(batches: Sequence[Batch],
     return total / count
 
 
-def train_model(config: ModelConfig, weights: ModelWeights,
-                train_pairs: Sequence[Pair], val_pairs: Sequence[Pair],
-                tc: TrainConfig,
-                accuracy_fn: Optional[Callable[[], float]] = None,
-                target_accuracy: Optional[float] = None,
-                log_path: Optional[str] = None) -> TrainResult:
-    """Plain language-model training of the base weights (no routers).
-
-    Optionally stops once ``accuracy_fn`` reaches ``target_accuracy``; the
-    check runs at every validation point.
-    """
-    weights.set_requires_grad(True)
+def _train_phase(config: ModelConfig, weights: ModelWeights,
+                 routers: Optional[RouterBank], trained,
+                 forward: Callable[[Batch, bool], tuple[Tensor, Sequence[Tensor]]],
+                 alpha_eff: float, train_pairs: Sequence[Pair],
+                 val_pairs: Sequence[Pair], tc: TrainConfig,
+                 log_path: Optional[str],
+                 stop_check: Optional[Callable[[], bool]] = None) -> TrainResult:
+    """One phase: ``trained`` (the model, the bank or the adapters) learns on
+    ``loss_total`` with all else frozen. ``forward(batch, training)`` gives
+    the logits and the per-layer rho tensors (none without routers)."""
+    weights.set_requires_grad(False)
+    if routers is not None:
+        routers.set_requires_grad(False)
+    trained.set_requires_grad(True)
     val_batches = _val_batches(val_pairs, tc)
 
     def batch_loss(b: Batch):
-        logits = M.forward_full(config, weights, b.tokens[:, :-1],
-                                attn_mask=b.attn[:, :-1])
+        logits, rhos = forward(b, True)
         bd = loss_total(logits, b.tokens[:, 1:], _ignore_mask(b),
-                        None, (), 0.0, 0.0)
+                        routers, rhos, tc.lam, alpha_eff)
         # every layer runs in plain training; log that fact in the rho columns
-        return bd, tuple(1.0 for _ in range(config.n_layers))
+        return bd, tuple(r.item() for r in rhos) or (1.0,) * config.n_layers
 
     def val_ce():
-        return _mean_val_ce(val_batches, lambda b: M.forward_full(
-            config, weights, b.tokens[:, :-1], attn_mask=b.attn[:, :-1]))
-
-    stop_check = None
-    if accuracy_fn is not None and target_accuracy is not None:
-        def stop_check():
-            with T.no_grad():
-                return accuracy_fn() >= target_accuracy
+        return _mean_val_ce(val_batches, lambda b: forward(b, False)[0])
 
     try:
-        result = _run_loop(batch_loss, val_ce, list(weights.parameters()),
+        result = _run_loop(batch_loss, val_ce, list(trained.parameters()),
                            train_pairs, tc, config.n_layers, stop_check)
     finally:
-        weights.set_requires_grad(False)
+        trained.set_requires_grad(False)
     if log_path:
         write_train_log(log_path, result.rows)
     return result
+
+
+def _soft_forward(config: ModelConfig, weights: ModelWeights,
+                  routers: RouterBank, projects=(None, None)):
+    """The soft forward of a batch; ``projects`` holds the projection hook
+    for evaluation and the one for training."""
+    def forward(b: Batch, training: bool):
+        return R.soft_forward(config, weights, routers, b.tokens[:, :-1],
+                              attn_mask=b.attn[:, :-1],
+                              router_mask=b.prompt_mask[:, :-1],
+                              project=projects[training])
+    return forward
+
+
+def train_model(config: ModelConfig, weights: ModelWeights,
+                train_pairs: Sequence[Pair], val_pairs: Sequence[Pair],
+                tc: TrainConfig,
+                log_path: Optional[str] = None,
+                stop_check: Optional[Callable[[], bool]] = None) -> TrainResult:
+    """Plain language-model training of the base weights (no routers).
+
+    ``stop_check`` runs without a gradient at every evaluation point, right
+    after validation; returning True ends the run early (``skiproute
+    pretrain --target-accuracy`` stops once greedy accuracy reaches it).
+    """
+    def forward(b: Batch, training: bool):
+        return M.forward_full(config, weights, b.tokens[:, :-1],
+                              attn_mask=b.attn[:, :-1]), ()
+
+    return _train_phase(config, weights, None, weights, forward, 0.0,
+                        train_pairs, val_pairs, tc, log_path, stop_check)
 
 
 def train_routers(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
@@ -321,34 +342,30 @@ def train_routers(config: ModelConfig, weights: ModelWeights, routers: RouterBan
                   stop_check: Optional[Callable[[], bool]] = None) -> TrainResult:
     """Phase 1: routers learn through the soft forward; the model is frozen.
 
-    ``stop_check`` runs at every evaluation point; returning True ends the
-    run early (used by budget tuning to stop once a skip target is met).
+    ``stop_check`` runs as in ``train_model`` (used by budget tuning to stop
+    once a skip target is met).
     """
-    weights.set_requires_grad(False)
-    routers.set_requires_grad(True)
-    val_batches = _val_batches(val_pairs, tc)
+    return _train_phase(config, weights, routers, routers,
+                        _soft_forward(config, weights, routers), tc.alpha,
+                        train_pairs, val_pairs, tc, log_path, stop_check)
 
-    def batch_loss(b: Batch):
-        logits, rhos = R.soft_forward(config, weights, routers, b.tokens[:, :-1],
-                                      attn_mask=b.attn[:, :-1],
-                                      router_mask=b.prompt_mask[:, :-1])
-        bd = loss_total(logits, b.tokens[:, 1:], _ignore_mask(b),
-                        routers, rhos, tc.lam, tc.alpha)
-        return bd, tuple(r.item() for r in rhos)
 
-    def val_ce():
-        return _mean_val_ce(val_batches, lambda b: R.soft_forward(
-            config, weights, routers, b.tokens[:, :-1],
-            attn_mask=b.attn[:, :-1], router_mask=b.prompt_mask[:, :-1])[0])
+def train_lora(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
+               adapters: AdapterSet, train_pairs: Sequence[Pair],
+               val_pairs: Sequence[Pair], tc: TrainConfig,
+               log_path: Optional[str] = None) -> TrainResult:
+    """Phase 2: adapters compensate; routers and base weights are frozen.
 
-    try:
-        result = _run_loop(batch_loss, val_ce, routers.parameters(),
-                           train_pairs, tc, config.n_layers, stop_check)
-    finally:
-        routers.set_requires_grad(False)
-    if log_path:
-        write_train_log(log_path, result.rows)
-    return result
+    The skip penalty keeps its pressure direction but is divided by the
+    configured factor (default 3). Adapter dropout applies in training only.
+    """
+    dropout_rng = seeded_streams(tc.seed, ["shuffle", "dropout"])["dropout"]
+    projects = (adapted_project(adapters),
+                adapted_project(adapters, training=True, rng=dropout_rng))
+    return _train_phase(config, weights, routers, adapters,
+                        _soft_forward(config, weights, routers, projects),
+                        tc.alpha / tc.phase2_divisor,
+                        train_pairs, val_pairs, tc, log_path)
 
 
 def _layer_inputs(config: ModelConfig, weights: ModelWeights,
@@ -389,9 +406,8 @@ def probe_decisions(config: ModelConfig, weights: ModelWeights,
     # before the forward, which checks the prompt width itself
     pmask, hs = _layer_inputs(config, weights, [(p, b"") for p, _ in pairs],
                               None, project)
-    with T.no_grad():  # the probe runs mid-training, on routers that need grad
-        rhos = np.stack([R.router_probability(r, h, pmask).data
-                         for r, h in zip(routers.routers, hs)], axis=1)
+    rhos = np.stack([R.router_probability(r, h, pmask).data
+                     for r, h in zip(routers.routers, hs)], axis=1)
     return [R.SkipDecision.from_rhos(row) for row in rhos]
 
 
@@ -462,8 +478,6 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
                          tc: TrainConfig, probe_pairs: Sequence[Pair],
                          band: tuple[float, float] = (0.15, 0.25),
                          max_attempts: int = 5,
-                         warm_target_logit: float = 0.4,
-                         warm_norm_cap: float = 3.0,
                          log_path: Optional[str] = None) -> BandTuneResult:
     """Train warm-started routers until the skip fraction first enters band.
 
@@ -486,9 +500,7 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
 
     lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
     for attempt in range(1, max_attempts + 1):
-        routers = warm_start_routers(config, weights, train_pairs, tc.max_seq,
-                                     target_logit=warm_target_logit,
-                                     norm_cap=warm_norm_cap)
+        routers = warm_start_routers(config, weights, train_pairs, tc.max_seq)
         tc_try = replace(tc, lr_min=lr_min, lr_max=lr_max, max_epochs=epochs,
                          eval_every=1, patience=10 ** 9)
 
@@ -509,46 +521,3 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
             epochs *= 2
     raise ConfigError(f"router tuning missed the skip band {band} "
                       f"in {max_attempts} attempts")
-
-
-def train_lora(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
-               adapters: AdapterSet, train_pairs: Sequence[Pair],
-               val_pairs: Sequence[Pair], tc: TrainConfig,
-               log_path: Optional[str] = None) -> TrainResult:
-    """Phase 2: adapters compensate; routers and base weights are frozen.
-
-    The skip penalty keeps its pressure direction but is divided by the
-    configured factor (default 3).
-    """
-    weights.set_requires_grad(False)
-    routers.set_requires_grad(False)
-    adapters.set_requires_grad(True)
-    alpha_eff = tc.alpha / tc.phase2_divisor
-    dropout_rng = seeded_streams(tc.seed, ["shuffle", "dropout"])["dropout"]
-    train_project = adapted_project(adapters, training=True, rng=dropout_rng)
-    eval_project = adapted_project(adapters)
-    val_batches = _val_batches(val_pairs, tc)
-
-    def batch_loss(b: Batch):
-        logits, rhos = R.soft_forward(config, weights, routers, b.tokens[:, :-1],
-                                      attn_mask=b.attn[:, :-1],
-                                      router_mask=b.prompt_mask[:, :-1],
-                                      project=train_project)
-        bd = loss_total(logits, b.tokens[:, 1:], _ignore_mask(b),
-                        routers, rhos, tc.lam, alpha_eff)
-        return bd, tuple(r.item() for r in rhos)
-
-    def val_ce():
-        return _mean_val_ce(val_batches, lambda b: R.soft_forward(
-            config, weights, routers, b.tokens[:, :-1],
-            attn_mask=b.attn[:, :-1], router_mask=b.prompt_mask[:, :-1],
-            project=eval_project)[0])
-
-    try:
-        result = _run_loop(batch_loss, val_ce, adapters.parameters(),
-                           train_pairs, tc, config.n_layers)
-    finally:
-        adapters.set_requires_grad(False)
-    if log_path:
-        write_train_log(log_path, result.rows)
-    return result

@@ -7,11 +7,15 @@ import pytest
 
 import skiproute.bench as B
 import skiproute.bundle as BU
+import skiproute.data as D
 import skiproute.lora as L
+import skiproute.metrics as X
 import skiproute.model as M
 import skiproute.router as R
 import skiproute.tensor as T
 from skiproute.cli import main
+from skiproute.config import load_experiment
+from skiproute.tokenizer import frame_prompt
 
 TINY_INI = """\
 [model]
@@ -170,6 +174,23 @@ def test_stats_and_reaggregation(workdir, capsys):
     again = capsys.readouterr().out
     assert direct == again
     assert "average:" in direct and "min margin" in direct
+
+
+def test_stats_dump_matches_per_prompt_prefill(workdir, capsys):
+    dump = workdir["root"] / "raw_all.csv"
+    assert main(["stats", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--routers", workdir["routers"], "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    weights = BU.load_bundle(workdir["pre"]).weights
+    routers = BU.load_bundle(workdir["routers"]).routers
+    _, _, test = D.generate_dataset(load_experiment(workdir["cfg"]).task)
+    logged = X.read_decision_log(str(dump))
+    assert len(logged) == len(test) == 8
+    for (prompt, _), got in zip(test, logged):
+        _, _, want = R.prefill(weights.config, weights, routers,
+                               np.asarray(frame_prompt(prompt)))
+        assert got.passed == want.passed
+        np.testing.assert_allclose(got.rho, want.rho, rtol=0, atol=1e-6)
 
 
 def test_compare_subcommand(workdir, capsys):

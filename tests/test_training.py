@@ -239,7 +239,7 @@ def test_pretraining_stops_at_target_accuracy():
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=10,
                         eval_every=1, max_seq=config.max_seq)
     result = TR.train_model(config, weights, train, val, tc,
-                            accuracy_fn=lambda: 1.0, target_accuracy=0.9)
+                            stop_check=lambda: True)
     assert result.stopped_early
     assert result.steps == 1
 
@@ -612,6 +612,51 @@ def test_train_routers_stop_check_halts_at_first_eval():
                               stop_check=lambda: True)
     assert result.stopped_early
     assert result.steps == 1
+
+
+def _run_phase(phase, stop_check=None):
+    """Train one phase of a tiny rig for two evaluated steps; return every
+    parameter of the model, the bank and the adapters."""
+    config = tiny_config()
+    weights = M.init_model(config, np.random.default_rng(4))
+    bank = R.init_routers(config)
+    adapters = L.init_adapters(weights, rank=2, rng=np.random.default_rng(6))
+    train, val, _ = copy_pairs(16, seed=4)
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
+                        eval_every=1, alpha=0.2, max_seq=config.max_seq)
+    if phase == "model":
+        TR.train_model(config, weights, train, val, tc, stop_check=stop_check)
+    elif phase == "routers":
+        TR.train_routers(config, weights, bank, train, val, tc,
+                         stop_check=stop_check)
+    else:
+        TR.train_lora(config, weights, bank, adapters, train, val, tc)
+    return list(weights.parameters()) + bank.parameters() + adapters.parameters()
+
+
+@pytest.mark.parametrize("phase", ["model", "routers"])
+def test_stop_check_runs_without_grad_right_after_validation(
+        monkeypatch, phase):
+    events = []
+    mean_val_ce = TR._mean_val_ce
+
+    def recording_val(*args):
+        events.append(("val", T.grad_enabled()))
+        return mean_val_ce(*args)
+
+    def stop_check():
+        events.append(("stop", T.grad_enabled()))
+        return False
+
+    monkeypatch.setattr(TR, "_mean_val_ce", recording_val)
+    _run_phase(phase, stop_check)
+    assert events == [("val", True), ("stop", False)] * 2
+    assert T.grad_enabled()
+
+
+@pytest.mark.parametrize("phase", ["model", "routers", "lora"])
+def test_every_phase_leaves_every_parameter_frozen(phase):
+    assert not any(p.requires_grad for p in _run_phase(phase))
 
 
 @pytest.mark.parametrize("kw", [dict(band=(0.3, 0.2)),
