@@ -15,7 +15,8 @@ eight bytes, and the A and B factors as tensors.
 
 Every read is bounds-checked before any slice or allocation, so a
 truncated or corrupted file raises a container error instead of failing
-arbitrarily deep in numpy.
+arbitrarily deep in numpy. Routers and adapters are checked against the
+model they will run on when they are loaded, not at first use.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (BadMagicError, BundleError, BundleShapeError, ConfigError,
-                     TruncatedFileError, VersionError)
-from .lora import TARGET_NAMES, AdapterSet, LoraAdapter
+                     ShapeError, TruncatedFileError, VersionError)
+from .lora import TARGET_NAMES, AdapterSet, LoraAdapter, check_fits
 from .model import LayerWeights, ModelConfig, ModelWeights
 from .router import Router, RouterBank
 from .tensor import Tensor
@@ -177,8 +178,19 @@ def _pack_adapters(adapters: AdapterSet) -> bytes:
     entries = list(adapters.items())
     if not entries:
         raise ConfigError("refusing to save an empty adapter set")
-    out = [struct.pack("<IfI", adapters.rank, adapters.lora_alpha, len(entries))]
+    # one rank and one float32 alpha are stored for the whole set, so
+    # anything else would reload with a different scaling
+    rank, alpha = adapters.rank, adapters.lora_alpha
+    if float(np.float32(alpha)) != alpha:
+        raise ConfigError(f"refusing to save lora_alpha {alpha!r}: "
+                          f"float32 stores it as {float(np.float32(alpha))!r}")
+    out = [struct.pack("<IfI", rank, alpha, len(entries))]
     for (layer, name), ad in entries:
+        if (ad.rank, ad.lora_alpha) != (rank, alpha):
+            raise ConfigError(
+                f"refusing to save adapter {layer}/{name} of rank {ad.rank} "
+                f"and alpha {ad.lora_alpha} in a set of rank {rank} and "
+                f"alpha {alpha}")
         tag = name.encode("ascii")
         if len(tag) > _TAG_PAD:
             raise BundleShapeError(f"target name {name!r} longer than {_TAG_PAD}")
@@ -209,8 +221,7 @@ def _unpack_adapters(payload: bytes) -> AdapterSet:
         adapters[(layer, name)] = LoraAdapter(a=Tensor(a), b=Tensor(b),
                                               rank=rank, lora_alpha=alpha)
     r.done()
-    return AdapterSet(rank=rank, lora_alpha=alpha, dropout_rate=0.1,
-                      adapters=adapters)
+    return AdapterSet(rank=rank, lora_alpha=alpha, adapters=adapters)
 
 
 # ----------------------------------------------------------- whole files
@@ -289,7 +300,31 @@ def read_sections(path: str) -> dict[str, bytes]:
     return sections
 
 
-def load_bundle(path: str) -> Bundle:
+def _check_fit(path: str, bundle: Bundle, weights: ModelWeights) -> None:
+    c = weights.config
+    routers = bundle.routers
+    if routers is not None:
+        widths = {r.weight.shape[0] for r in routers.routers}
+        if len(routers) != c.n_layers or widths != {c.d_model}:
+            raise BundleShapeError(
+                f"{path}: {len(routers)} routers of width {sorted(widths)} for "
+                f"a model of {c.n_layers} layers of width {c.d_model}")
+    if bundle.adapters is not None:
+        for (layer, name), ad in bundle.adapters.items():
+            if layer >= c.n_layers:
+                raise BundleShapeError(f"{path}: adapter for layer {layer} "
+                                       f"of a {c.n_layers}-layer model")
+            try:
+                check_fits(ad, getattr(weights.layers[layer], name))
+            except (ConfigError, ShapeError) as e:
+                raise BundleShapeError(f"{path}: adapter {layer}/{name}: {e}") from e
+
+
+def load_bundle(path: str, weights: Optional[ModelWeights] = None) -> Bundle:
+    """Every section of ``path``. Routers and adapters are checked against
+    ``weights``, or else against the file's own model section: one router
+    of the model's width per layer, and every adapter on an existing layer
+    and fitting its matrix. A misfit raises ``BundleShapeError``."""
     sections = read_sections(path)
     bundle = Bundle()
     if SECTION_MODEL.decode() in sections:
@@ -298,4 +333,7 @@ def load_bundle(path: str) -> Bundle:
         bundle.routers = _unpack_routers(sections[SECTION_ROUTERS.decode()])
     if SECTION_ADAPTERS.decode() in sections:
         bundle.adapters = _unpack_adapters(sections[SECTION_ADAPTERS.decode()])
+    model = weights if weights is not None else bundle.weights
+    if model is not None:
+        _check_fit(path, bundle, model)
     return bundle

@@ -19,12 +19,11 @@ from . import model as M
 from . import oracle as O
 from . import router as R
 from . import training as TR
-from .bundle import Bundle, load_bundle, save_bundle
+from .bundle import load_bundle, save_bundle
 from .config import ExperimentConfig, load_experiment, write_default_config
 from .data import generate_dataset
-from .errors import (BundleError, BundleShapeError, ConfigError,
-                     NumericalError, ShapeError, SkipRouteError)
-from .lora import adapted_project, check_fits, init_adapters, merge
+from .errors import BundleError, NumericalError, SkipRouteError
+from .lora import adapted_project, init_adapters, merge
 from .tokenizer import EOS, detokenize, frame_prompt
 
 
@@ -43,43 +42,16 @@ def _skip_list(text: str) -> frozenset:
         raise argparse.ArgumentTypeError(f"bad layer list {text!r}")
 
 
-def _load_model(path: str):
-    bundle = load_bundle(path)
-    if bundle.weights is None:
-        raise BundleError(f"{path} holds no model section")
-    return bundle.weights.config, bundle.weights
+_SECTION_NAMES = {"weights": "model", "routers": "router", "adapters": "adapter"}
 
 
-def _load_routers(path: str, config: M.ModelConfig):
-    """The router bank in ``path``, checked against the model it will route."""
-    bundle = load_bundle(path)
-    if bundle.routers is None:
-        raise BundleError(f"{path} holds no router section")
-    routers = bundle.routers
-    widths = {r.weight.shape[0] for r in routers.routers}
-    if len(routers) != config.n_layers or widths != {config.d_model}:
-        raise BundleShapeError(
-            f"{path}: {len(routers)} routers of width {sorted(widths)} for a "
-            f"model of {config.n_layers} layers of width {config.d_model}")
-    return routers
-
-
-def _load_adapters(path: str, weights: M.ModelWeights):
-    """The adapter set in ``path``, checked against the model it will adapt:
-    every adapter targets an existing layer and fits its matrix."""
-    bundle = load_bundle(path)
-    if bundle.adapters is None:
-        raise BundleError(f"{path} holds no adapter section")
-    for (layer, name), ad in bundle.adapters.items():
-        if layer >= weights.config.n_layers:
-            raise BundleShapeError(
-                f"{path}: adapter for layer {layer} of a "
-                f"{weights.config.n_layers}-layer model")
-        try:
-            check_fits(ad, getattr(weights.layers[layer], name))
-        except (ConfigError, ShapeError) as e:
-            raise BundleShapeError(f"{path}: adapter {layer}/{name}: {e}") from e
-    return bundle.adapters
+def _load(path: str, part: str, weights: Optional[M.ModelWeights] = None):
+    """``part`` ("weights", "routers" or "adapters") of the bundle at
+    ``path``, which ``load_bundle`` checks against ``weights``."""
+    found = getattr(load_bundle(path, weights), part)
+    if found is None:
+        raise BundleError(f"{path} holds no {_SECTION_NAMES[part]} section")
+    return found
 
 
 def _max_new(exp: ExperimentConfig, override: Optional[int]) -> int:
@@ -109,15 +81,15 @@ def cmd_init(args) -> int:
 
 def cmd_pretrain(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
+    weights = _load(args.model, "weights")
     train, val, _ = generate_dataset(exp.task)
     stop_check = None
     if args.target_accuracy is not None:
-        quality = O.dataset_exact_match(config, weights, val,
+        quality = O.dataset_exact_match(weights.config, weights, val,
                                         _max_new(exp, args.max_new))
         def stop_check():
             return quality(frozenset()) >= args.target_accuracy
-    result = TR.train_model(config, weights, train, val, exp.train,
+    result = TR.train_model(weights.config, weights, train, val, exp.train,
                             log_path=args.log, stop_check=stop_check)
     save_bundle(args.out, weights=weights)
     print(f"pretrained for {result.steps} steps, "
@@ -127,11 +99,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train_router(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
+    weights = _load(args.model, "weights")
     tc = exp.train if args.alpha is None else replace(exp.train, alpha=args.alpha)
-    routers = R.init_routers(config)
+    routers = R.init_routers(weights.config)
     train, val, _ = generate_dataset(exp.task)
-    result = TR.train_routers(config, weights, routers, train, val, tc,
+    result = TR.train_routers(weights.config, weights, routers, train, val, tc,
                               log_path=args.log)
     save_bundle(args.out, routers=routers)
     rho = result.rows[-1].mean_rho if result.rows else ()
@@ -142,15 +114,14 @@ def cmd_train_router(args) -> int:
 
 def cmd_train_lora(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
-    routers = _load_routers(args.routers, config)
+    weights = _load(args.model, "weights")
+    routers = _load(args.routers, "routers", weights)
     adapters = init_adapters(
         weights, rank=exp.lora.rank, lora_alpha=exp.lora.lora_alpha,
-        dropout_rate=exp.lora.dropout,
         rng=np.random.default_rng(exp.train.seed))
     train, val, _ = generate_dataset(exp.task)
-    result = TR.train_lora(config, weights, routers, adapters, train, val,
-                           exp.train, log_path=args.log)
+    result = TR.train_lora(weights.config, weights, routers, adapters, train,
+                           val, exp.train, log_path=args.log, dropout=exp.lora.dropout)
     save_bundle(args.out, adapters=adapters)
     print(f"trained adapters for {result.steps} steps, "
           f"best val ce {result.best_val_ce:.4f} -> {args.out}")
@@ -158,8 +129,8 @@ def cmd_train_lora(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    _, weights = _load_model(args.model)
-    adapters = _load_adapters(args.adapters, weights)
+    weights = _load(args.model, "weights")
+    adapters = _load(args.adapters, "adapters", weights)
     merged = merge(weights, adapters)
     save_bundle(args.out, weights=merged)
     print(f"merged {len(adapters.adapters)} adapters -> {args.out}")
@@ -168,15 +139,16 @@ def cmd_merge(args) -> int:
 
 def cmd_infer(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
+    weights = _load(args.model, "weights")
+    config = weights.config
     project = None
     if args.adapters:
-        project = adapted_project(_load_adapters(args.adapters, weights))
+        project = adapted_project(_load(args.adapters, "adapters", weights))
     prompt = frame_prompt(args.prompt.encode("utf-8"))
     rng = np.random.default_rng(exp.task.seed)
     budget = _max_new(exp, args.max_new)
     if args.routers:
-        routers = _load_routers(args.routers, config)
+        routers = _load(args.routers, "routers", weights)
         result, decision = R.generate_with_routers(
             config, weights, routers, prompt, budget, sampler=exp.sampler,
             rng=rng, stop_at=EOS, project=project)
@@ -196,7 +168,8 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
+    weights = _load(args.model, "weights")
+    config = weights.config
     _, _, test = generate_dataset(exp.task)
     prompt = frame_prompt(args.prompt.encode("utf-8") if args.prompt
                           else test[0][0])
@@ -207,7 +180,7 @@ def cmd_bench(args) -> int:
         runs["skip"] = lambda: M.generate(config, weights, prompt, budget,
                                           skip_set=args.skip, prefill_skip=())
     if args.routers:
-        routers = _load_routers(args.routers, config)
+        routers = _load(args.routers, "routers", weights)
         runs["routed"] = lambda: R.generate_with_routers(
             config, weights, routers, prompt, budget)[0]
     report = B.LatencyReport(B.measure_tpot(runs, n_runs=args.runs,
@@ -224,7 +197,8 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
+    weights = _load(args.model, "weights")
+    config = weights.config
     _, _, test = generate_dataset(exp.task)
     pairs = test[:args.max_prompts]
     budget = _max_new(exp, args.max_new)
@@ -251,10 +225,10 @@ def cmd_stats(args) -> int:
         decisions = X.read_decision_log(args.from_raw)
     else:
         exp = load_experiment(args.config)
-        config, weights = _load_model(args.model)
-        routers = _load_routers(args.routers, config)
+        weights = _load(args.model, "weights")
+        routers = _load(args.routers, "routers", weights)
         _, _, test = generate_dataset(exp.task)
-        decisions = TR.probe_decisions(config, weights, routers,
+        decisions = TR.probe_decisions(weights.config, weights, routers,
                                        test[:args.max_prompts])
         if args.dump:
             X.write_decision_log(args.dump, decisions)
@@ -268,11 +242,12 @@ def cmd_stats(args) -> int:
 
 def cmd_compare(args) -> int:
     exp = load_experiment(args.config)
-    config, weights = _load_model(args.model)
-    routers = _load_routers(args.routers, config)
+    weights = _load(args.model, "weights")
+    config = weights.config
+    routers = _load(args.routers, "routers", weights)
     project = None
     if args.adapters:
-        project = adapted_project(_load_adapters(args.adapters, weights))
+        project = adapted_project(_load(args.adapters, "adapters", weights))
     _, _, test = generate_dataset(exp.task)
     pairs = test[:args.max_prompts]
     budget = max(2, _max_new(exp, args.max_new))

@@ -1,14 +1,18 @@
 """Experiment files: one INI holding model, task, training, and sampler knobs.
 
-Flat key = value pairs grouped into sections. Unknown sections or keys are
-rejected outright so a typo cannot silently fall back to a default; absent
-sections simply keep every default.
+Flat key = value pairs grouped into sections. Each section's keys are the
+fields of its dataclass, cast by their declared type. Unknown sections or
+keys are rejected outright so a typo cannot silently fall back to a
+default; absent sections simply keep every default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
+
+import numpy as np
 
 from .data import TaskSpec
 from .errors import ConfigError
@@ -23,10 +27,10 @@ class LoraConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError(f"adapter rank must be positive, got {self.rank}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        # rank and dropout are checked before training, alpha only at save
+        if float(np.float32(self.lora_alpha)) != self.lora_alpha:
+            raise ConfigError(f"lora_alpha {self.lora_alpha!r} is not exact "
+                              f"in float32, which checkpoints store")
 
 
 @dataclass(frozen=True)
@@ -38,23 +42,8 @@ class ExperimentConfig:
     lora: LoraConfig
 
 
-_SCHEMA = {
-    "model": (ModelConfig, {
-        "n_layers": int, "d_model": int, "n_heads": int, "d_ff": int,
-        "vocab_size": int, "max_seq": int}),
-    "task": (TaskSpec, {
-        "kind": str, "min_len": int, "max_len": int, "n_train": int,
-        "n_val": int, "n_test": int, "seed": int}),
-    "train": (TrainConfig, {
-        "lam": float, "alpha": float, "lr_min": float, "lr_max": float,
-        "schedule": str, "accum_steps": int, "patience": int,
-        "max_epochs": int, "batch_size": int, "max_seq": int,
-        "eval_every": int, "seed": int, "phase2_divisor": float}),
-    "sampler": (SamplerConfig, {
-        "mode": str, "top_k": int, "temperature": float}),
-    "lora": (LoraConfig, {
-        "rank": int, "lora_alpha": float, "dropout": float}),
-}
+_CASTS = {"int": int, "float": float, "str": str}
+_SECTIONS = get_type_hints(ExperimentConfig)  # section name -> dataclass
 
 DEFAULT_CONFIG = """\
 [model]
@@ -79,15 +68,12 @@ lam = 0.01
 alpha = 0.0
 lr_min = 1e-4
 lr_max = 3e-4
-schedule = cosine
 accum_steps = 5
 patience = 4
 max_epochs = 50
 batch_size = 16
-max_seq = 256
 eval_every = 50
 seed = 0
-phase2_divisor = 3.0
 
 [sampler]
 mode = greedy
@@ -110,9 +96,10 @@ def parse_experiment(text: str) -> ExperimentConfig:
 
     built = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    for section, (cls, casts) in _SCHEMA.items():
+    for section, cls in _SECTIONS.items():
+        casts = {f.name: _CASTS[f.type] for f in fields(cls)}
         kwargs = {}
         if parser.has_section(section):
             for key, raw in parser.items(section):
@@ -128,9 +115,7 @@ def parse_experiment(text: str) -> ExperimentConfig:
             built[section] = cls(**kwargs)
         except TypeError as e:
             raise ConfigError(f"[{section}] is incomplete: {e}")
-    return ExperimentConfig(model=built["model"], task=built["task"],
-                            train=built["train"], sampler=built["sampler"],
-                            lora=built["lora"])
+    return ExperimentConfig(**built)
 
 
 def load_experiment(path: str) -> ExperimentConfig:

@@ -28,7 +28,6 @@ class LoraAdapter:
     b: Tensor
     rank: int
     lora_alpha: float
-    dropout_rate: float = 0.1
 
     @property
     def scaling(self) -> float:
@@ -48,14 +47,13 @@ def _check_rank(rank: int, d_out: int, d_in: int) -> None:
 
 
 def make_adapter(d_out: int, d_in: int, rank: int, lora_alpha: float,
-                 dropout_rate: float, rng: np.random.Generator,
-                 dtype=np.float32) -> LoraAdapter:
+                 rng: np.random.Generator, dtype=np.float32) -> LoraAdapter:
     """A ~ normal(0, 0.02), B = 0: the initial delta is exactly zero."""
     _check_rank(rank, d_out, d_in)
     return LoraAdapter(
         a=Tensor(rng.normal(0.0, 0.02, size=(rank, d_in)).astype(dtype)),
         b=Tensor(np.zeros((d_out, rank), dtype=dtype)),
-        rank=rank, lora_alpha=lora_alpha, dropout_rate=dropout_rate)
+        rank=rank, lora_alpha=lora_alpha)
 
 
 @dataclass
@@ -64,7 +62,6 @@ class AdapterSet:
 
     rank: int
     lora_alpha: float
-    dropout_rate: float
     adapters: dict[tuple[int, str], LoraAdapter] = field(default_factory=dict)
     merged: bool = False
 
@@ -86,21 +83,17 @@ class AdapterSet:
 
 
 def init_adapters(weights: ModelWeights, rank: int = 8, lora_alpha: float = 32.0,
-                  dropout_rate: float = 0.1,
                   rng: Optional[np.random.Generator] = None) -> AdapterSet:
     """One adapter per attention and FFN matrix of every layer."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     adapters = {}
     for i, lw in enumerate(weights.layers):
         for name, w in lw.matrices():
             d_out, d_in = w.shape
             adapters[(i, name)] = make_adapter(
-                d_out, d_in, rank, lora_alpha, dropout_rate, rng, dtype=w.dtype)
-    return AdapterSet(rank=rank, lora_alpha=lora_alpha,
-                      dropout_rate=dropout_rate, adapters=adapters)
+                d_out, d_in, rank, lora_alpha, rng, dtype=w.dtype)
+    return AdapterSet(rank=rank, lora_alpha=lora_alpha, adapters=adapters)
 
 
 def check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
@@ -114,16 +107,17 @@ def check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
 
 
 def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
-                   training: bool = False,
+                   dropout: float = 0.0,
                    rng: Optional[np.random.Generator] = None) -> Tensor:
-    """x @ W.T plus the scaled low-rank path, dropout on that path only."""
+    """x @ W.T plus the scaled low-rank path, whose input entries are
+    dropped at rate ``dropout`` (drawn from ``rng``)."""
     check_fits(adapter, base_weight)
     base = linear(x, base_weight)
     xa = x
-    if training and adapter.dropout_rate > 0.0:
+    if dropout > 0.0:
         if rng is None:
-            raise ConfigError("adapter dropout in training mode needs a generator")
-        keep = 1.0 - adapter.dropout_rate
+            raise ConfigError("adapter dropout needs a generator")
+        keep = 1.0 - dropout
         # one pass: kept entries are 1/keep rounded in x's dtype, the rest 0
         inv_keep = x.dtype.type(1) / x.dtype.type(keep)
         xa = T.mul(x, Tensor(np.multiply(rng.random(x.shape) < keep, inv_keep,
@@ -132,14 +126,14 @@ def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
     return T.add(base, T.scale(low, adapter.scaling))
 
 
-def adapted_project(adapters: AdapterSet, training: bool = False,
+def adapted_project(adapters: AdapterSet, dropout: float = 0.0,
                     rng: Optional[np.random.Generator] = None):
     """A projection hook for the model forward that applies matching adapters.
 
-    On the tape (a Tensor ``x``) it is ``adapted_matmul``. On plain arrays,
-    which the forward uses when nothing requires grad, it computes the same
-    sum x @ W.T + scaling * (x @ A.T) @ B.T from ``.data`` views; dropout
-    belongs to training, which runs on the tape.
+    On the tape (a Tensor ``x``) it is ``adapted_matmul`` with ``dropout``.
+    On plain arrays, which the forward uses when nothing requires grad, it
+    computes the same sum x @ W.T + scaling * (x @ A.T) @ B.T from ``.data``
+    views; dropout belongs to training, which runs on the tape.
     """
 
     def project(x, w: Tensor, layer_index: int, name: str):
@@ -147,7 +141,7 @@ def adapted_project(adapters: AdapterSet, training: bool = False,
         if ad is None:
             return linear(x, w)
         if isinstance(x, Tensor):
-            return adapted_matmul(x, w, ad, training=training, rng=rng)
+            return adapted_matmul(x, w, ad, dropout, rng)
         check_fits(ad, w)
         low = T.linear_fwd(T.linear_fwd(x, ad.a.data), ad.b.data)
         return T.linear_fwd(x, w.data) + T.scale_fwd(low, ad.scaling)

@@ -36,15 +36,12 @@ class TrainConfig:
     alpha: float = 0.0
     lr_min: float = 1e-4
     lr_max: float = 3e-4
-    schedule: str = "cosine"
     accum_steps: int = 5
     patience: int = 4
     max_epochs: int = 50
     batch_size: int = 16
-    max_seq: int = 256
     eval_every: int = 50
     seed: int = 0
-    phase2_divisor: float = 3.0
 
     def __post_init__(self):
         if self.lam < 0 or self.alpha < 0:
@@ -55,12 +52,11 @@ class TrainConfig:
             raise ConfigError("accumulation, batch size and eval cadence must be positive")
         if not 0 <= self.lr_min <= self.lr_max:
             raise ConfigError(f"bad learning-rate bounds [{self.lr_min}, {self.lr_max}]")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.max_epochs < 1:
             raise ConfigError("need at least one epoch")
-        if self.phase2_divisor <= 0:
-            raise ConfigError("phase-2 penalty divisor must be positive")
+
+
+PHASE2_DIVISOR = 3.0
 
 
 def cosine_lr(step: int, total_steps: int, lr_min: float, lr_max: float) -> float:
@@ -171,14 +167,15 @@ def write_train_log(path: str, rows: Sequence[TrainLogRow]) -> None:
             w.writerow([r.step, r.ce, r.reg, r.pp, r.total, r.val_ce, *r.mean_rho])
 
 
-def _val_batches(pairs: Sequence[Pair], tc: TrainConfig) -> list[Batch]:
-    return [encode_batch(pairs[lo:lo + tc.batch_size], tc.max_seq)
+def _val_batches(pairs: Sequence[Pair], tc: TrainConfig,
+                 max_seq: int) -> list[Batch]:
+    return [encode_batch(pairs[lo:lo + tc.batch_size], max_seq)
             for lo in range(0, len(pairs), tc.batch_size)]
 
 
 def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ...]]],
               val_ce: Callable[[], float], params: Sequence[Tensor],
-              train_pairs: Sequence[Pair], tc: TrainConfig, n_layers: int,
+              train_pairs: Sequence[Pair], tc: TrainConfig, config: ModelConfig,
               stop_check: Optional[Callable[[], bool]]) -> TrainResult:
     """Shared engine: accumulate, step, evaluate, stop on stale validation
     or when ``stop_check``, run without a gradient right after each
@@ -192,7 +189,7 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
 
     rows: list[TrainLogRow] = []
     window = np.zeros(4)
-    window_rho = np.zeros(n_layers)
+    window_rho = np.zeros(config.n_layers)
     window_n = 0
     micro = 0
     opt_steps = 0
@@ -225,7 +222,8 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
                 stopped = bool(stop_check()) or stopped
 
     for _ in range(tc.max_epochs):
-        for batch in iter_minibatches(train_pairs, tc.batch_size, shuffle_rng, tc.max_seq):
+        for batch in iter_minibatches(train_pairs, tc.batch_size, shuffle_rng,
+                                      config.max_seq):
             bd, rho_vals = batch_loss(batch)
             bd.verify()
             window[:] += (bd.ce.item(), bd.reg.item(), bd.pp.item(), bd.total.item())
@@ -234,9 +232,7 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
             bd.total.backward(np.asarray(1.0 / tc.accum_steps, dtype=bd.total.dtype))
             micro += 1
             if micro % tc.accum_steps == 0:
-                lr = (cosine_lr(opt_steps, total_opt_steps, tc.lr_min, tc.lr_max)
-                      if tc.schedule == "cosine" else tc.lr_max)
-                opt.step(lr)
+                opt.step(cosine_lr(opt_steps, total_opt_steps, tc.lr_min, tc.lr_max))
                 opt.zero_grad()
                 opt_steps += 1
                 if opt_steps % tc.eval_every == 0:
@@ -282,7 +278,7 @@ def _train_phase(config: ModelConfig, weights: ModelWeights,
     if routers is not None:
         routers.set_requires_grad(False)
     trained.set_requires_grad(True)
-    val_batches = _val_batches(val_pairs, tc)
+    val_batches = _val_batches(val_pairs, tc, config.max_seq)
 
     def batch_loss(b: Batch):
         logits, rhos = forward(b, True)
@@ -296,7 +292,7 @@ def _train_phase(config: ModelConfig, weights: ModelWeights,
 
     try:
         result = _run_loop(batch_loss, val_ce, list(trained.parameters()),
-                           train_pairs, tc, config.n_layers, stop_check)
+                           train_pairs, tc, config, stop_check)
     finally:
         trained.set_requires_grad(False)
     if log_path:
@@ -353,18 +349,22 @@ def train_routers(config: ModelConfig, weights: ModelWeights, routers: RouterBan
 def train_lora(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
                adapters: AdapterSet, train_pairs: Sequence[Pair],
                val_pairs: Sequence[Pair], tc: TrainConfig,
-               log_path: Optional[str] = None) -> TrainResult:
+               log_path: Optional[str] = None,
+               dropout: float = 0.1) -> TrainResult:
     """Phase 2: adapters compensate; routers and base weights are frozen.
 
-    The skip penalty keeps its pressure direction but is divided by the
-    configured factor (default 3). Adapter dropout applies in training only.
+    The skip penalty keeps its pressure direction but is divided by
+    ``PHASE2_DIVISOR``. ``dropout`` drops inputs of the adapters' low-rank
+    path in training steps only, never in validation.
     """
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
     dropout_rng = seeded_streams(tc.seed, ["shuffle", "dropout"])["dropout"]
     projects = (adapted_project(adapters),
-                adapted_project(adapters, training=True, rng=dropout_rng))
+                adapted_project(adapters, dropout=dropout, rng=dropout_rng))
     return _train_phase(config, weights, routers, adapters,
                         _soft_forward(config, weights, routers, projects),
-                        tc.alpha / tc.phase2_divisor,
+                        tc.alpha / PHASE2_DIVISOR,
                         train_pairs, val_pairs, tc, log_path)
 
 
@@ -500,7 +500,8 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
 
     lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
     for attempt in range(1, max_attempts + 1):
-        routers = warm_start_routers(config, weights, train_pairs, tc.max_seq)
+        routers = warm_start_routers(config, weights, train_pairs,
+                                     config.max_seq)
         tc_try = replace(tc, lr_min=lr_min, lr_max=lr_max, max_epochs=epochs,
                          eval_every=1, patience=10 ** 9)
 

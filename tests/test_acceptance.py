@@ -82,9 +82,8 @@ def caesar_rig():
     weights = M.init_model(TOY, np.random.default_rng(0))
     train, val, test = D.generate_dataset(CAESAR)
     tc = TR.TrainConfig(lam=0.0, alpha=0.0, lr_min=1e-3, lr_max=1e-3,
-                        schedule="constant", accum_steps=1, patience=30,
-                        max_epochs=45, batch_size=16, max_seq=64,
-                        eval_every=100, seed=0)
+                        accum_steps=1, patience=30, max_epochs=45,
+                        batch_size=16, eval_every=100, seed=0)
     val_quality = O.dataset_exact_match(TOY, weights, val, MAX_NEW)
     TR.train_model(TOY, weights, train, val, tc,
                    stop_check=lambda: val_quality(frozenset()) >= 0.96)
@@ -117,23 +116,20 @@ def routed_rig(caesar_rig, tmp_path_factory):
     per_seed = []
     for seed in SEEDS:
         tune_tc = TR.TrainConfig(lam=0.01, alpha=0.01, lr_min=3e-4,
-                                 lr_max=3e-4, schedule="constant",
-                                 accum_steps=1, patience=4, max_epochs=4,
-                                 batch_size=16, max_seq=64, eval_every=1,
+                                 lr_max=3e-4, accum_steps=1, patience=4,
+                                 max_epochs=4, batch_size=16, eval_every=1,
                                  seed=seed)
         tuned = TR.tune_routers_to_band(rig.config, rig.weights, rig.train,
                                         rig.val, tune_tc,
                                         probe_pairs=rig.val[:24], band=BAND)
         adapters = L.init_adapters(rig.weights, rank=8, lora_alpha=32.0,
-                                   dropout_rate=0.1,
                                    rng=np.random.default_rng(seed))
         lora_tc = TR.TrainConfig(lam=0.01, alpha=0.01, lr_min=3e-4,
-                                 lr_max=3e-4, schedule="constant",
-                                 accum_steps=1, patience=6, max_epochs=8,
-                                 batch_size=16, max_seq=64, eval_every=24,
+                                 lr_max=3e-4, accum_steps=1, patience=6,
+                                 max_epochs=8, batch_size=16, eval_every=24,
                                  seed=seed)
         TR.train_lora(rig.config, rig.weights, tuned.routers, adapters,
-                      rig.train, rig.val, lora_tc)
+                      rig.train, rig.val, lora_tc, dropout=0.1)
         router_path = str(work / f"routers_{seed}.bin")
         adapter_path = str(work / f"adapters_{seed}.bin")
         BU.save_bundle(router_path, routers=tuned.routers)
@@ -394,9 +390,8 @@ def test_criterion_4_oracle_cross_check():
                       n_val=32, n_test=16, seed=3)
     train, val, _ = D.generate_dataset(task)
     tc = TR.TrainConfig(lam=0.0, alpha=0.0, lr_min=3e-3, lr_max=3e-3,
-                        schedule="constant", accum_steps=1, patience=10 ** 6,
-                        max_epochs=20, batch_size=16, max_seq=32,
-                        eval_every=100, seed=0)
+                        accum_steps=1, patience=10 ** 6, max_epochs=20,
+                        batch_size=16, eval_every=100, seed=0)
     TR.train_model(cfg, weights, train, val, tc)
 
     # every subsequence interpreter state matches the skip-complement forward
@@ -446,9 +441,8 @@ def test_criterion_5_alpha_monotonicity():
                       n_val=64, n_test=64, seed=2)
     train, val, _ = D.generate_dataset(task)
     pre = TR.TrainConfig(lam=0.0, alpha=0.0, lr_min=1e-3, lr_max=1e-3,
-                         schedule="constant", accum_steps=1, patience=30,
-                         max_epochs=45, batch_size=16, max_seq=64,
-                         eval_every=100, seed=0)
+                         accum_steps=1, patience=30, max_epochs=45,
+                         batch_size=16, eval_every=100, seed=0)
     quality = O.dataset_exact_match(TOY, weights, val, task.max_len + 2)
     TR.train_model(TOY, weights, train, val, pre,
                    stop_check=lambda: quality(frozenset()) >= 0.9)
@@ -458,9 +452,8 @@ def test_criterion_5_alpha_monotonicity():
     for alpha in (0.0, alpha_1, 2 * alpha_1):
         bank = R.init_routers(TOY)
         tc = TR.TrainConfig(lam=0.01, alpha=alpha, lr_min=3e-3, lr_max=3e-3,
-                            schedule="constant", accum_steps=1,
-                            patience=10 ** 6, max_epochs=6, batch_size=16,
-                            max_seq=64, eval_every=100, seed=0)
+                            accum_steps=1, patience=10 ** 6, max_epochs=6,
+                            batch_size=16, eval_every=100, seed=0)
         TR.train_routers(TOY, weights, bank, train, val, tc)
         fractions.append(TR.measure_skip_fraction(TOY, weights, bank, val))
     elapsed = time.perf_counter() - t0
@@ -573,9 +566,8 @@ def test_criterion_9_phase_isolation(tmp_path):
     BU.save_bundle(paths[0], weights=weights, routers=bank, adapters=adapters)
 
     tc = TR.TrainConfig(lam=0.01, alpha=0.3, lr_min=3e-3, lr_max=3e-3,
-                        schedule="constant", accum_steps=1, patience=10 ** 6,
-                        max_epochs=1, batch_size=8, max_seq=32, eval_every=10,
-                        seed=0)
+                        accum_steps=1, patience=10 ** 6, max_epochs=1,
+                        batch_size=8, eval_every=10, seed=0)
     TR.train_routers(cfg, weights, bank, train, val, tc)
     BU.save_bundle(paths[1], weights=weights, routers=bank, adapters=adapters)
     TR.train_lora(cfg, weights, bank, adapters, train, val, tc)
@@ -637,7 +629,7 @@ def test_criterion_10_stats_and_report_fidelity(tmp_path):
                           vocab_size=260, max_seq=32)
     wsmall = M.init_model(small, np.random.default_rng(22))
     tc = TR.TrainConfig(accum_steps=1, batch_size=4, max_epochs=1,
-                        max_seq=16, eval_every=1, patience=10 ** 6)
+                        eval_every=1, patience=10 ** 6)
     result = TR.train_model(small, wsmall, train, val, tc)
     log_path = str(tmp_path / "train.csv")
     TR.write_train_log(log_path, result.rows)

@@ -1,6 +1,7 @@
 """Container round trips plus truncation and corruption behavior."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,3 +269,44 @@ def test_router_only_bundle_drives_inference(tmp_path, parts):
     _, _, want = R.prefill(config, weights, bank, tokens)
     _, _, got = R.prefill(config, weights, loaded, tokens)
     assert got == want
+
+
+def test_routers_that_do_not_fit_the_files_model_are_refused(tmp_path, parts):
+    config, weights, _, _ = parts
+    path = tmp_path / "misfit.bin"
+    three = R.init_routers(replace(config, n_layers=3))
+    BU.save_bundle(str(path), weights=weights, routers=three)
+    with pytest.raises(BundleShapeError, match="3 routers of width"):
+        BU.load_bundle(str(path))
+
+
+def test_adapters_are_checked_against_the_given_model(tmp_path, parts):
+    config, weights, _, adapters = parts
+    path = tmp_path / "a.bin"
+    BU.save_bundle(str(path), adapters=adapters)
+    assert BU.load_bundle(str(path), weights).adapters is not None
+    one_layer = M.init_model(replace(config, n_layers=1),
+                             np.random.default_rng(0))
+    with pytest.raises(BundleShapeError, match="of a 1-layer model"):
+        BU.load_bundle(str(path), one_layer)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("set_alpha", "float32 stores it as 0.10000000149"),
+    ("entry_rank", "adapter 1/wv of rank 1"),
+    ("entry_alpha", "adapter 1/wv of rank 2 and alpha 16.0"),
+])
+def test_adapters_whose_reload_would_rescale_are_refused(tmp_path, parts,
+                                                         change, message):
+    _, _, _, adapters = parts
+    entry = adapters.get(1, "wv")
+    if change == "set_alpha":
+        adapters.lora_alpha = 0.1
+        for _, ad in adapters.items():
+            ad.lora_alpha = 0.1
+    elif change == "entry_rank":
+        entry.rank = 1
+    else:
+        entry.lora_alpha = 16.0
+    with pytest.raises(ConfigError, match=message):
+        BU.save_bundle(str(tmp_path / "x.bin"), adapters=adapters)

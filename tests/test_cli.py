@@ -41,7 +41,6 @@ lr_max = 3e-3
 accum_steps = 1
 batch_size = 8
 max_epochs = 1
-max_seq = 64
 eval_every = 50
 seed = 0
 
@@ -267,10 +266,10 @@ def test_mismatched_routers_are_refused_at_load(workdir, tmp_path, capsys,
 def test_mismatched_adapters_are_refused_at_load(workdir, tmp_path, capsys,
                                                   key, shape, message):
     path = str(tmp_path / "adapters.bin")
-    ad = L.make_adapter(*shape, rank=2, lora_alpha=4.0, dropout_rate=0.0,
+    ad = L.make_adapter(*shape, rank=2, lora_alpha=4.0,
                         rng=np.random.default_rng(0))
     BU.save_bundle(path, adapters=L.AdapterSet(
-        rank=2, lora_alpha=4.0, dropout_rate=0.0, adapters={key: ad}))
+        rank=2, lora_alpha=4.0, adapters={key: ad}))
     assert _infer_with(workdir, "--adapters", path) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -15,7 +15,7 @@ def tiny(m=2, d=16, heads=2, d_ff=32, vocab=30, seed=0):
 
 def random_adapter(d_out, d_in, rank, alpha=32.0, seed=1, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    ad = L.make_adapter(d_out, d_in, rank, alpha, 0.1, rng, dtype=dtype)
+    ad = L.make_adapter(d_out, d_in, rank, alpha, rng, dtype=dtype)
     ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape).astype(dtype)
     return ad
 
@@ -24,13 +24,13 @@ class TestAdaptedMatmul:
     def test_zero_b_equals_base(self):
         rng = np.random.default_rng(0)
         w = T.Tensor(rng.normal(size=(6, 4)).astype(np.float32))
-        ad = L.make_adapter(6, 4, 2, 32.0, 0.1, rng)
+        ad = L.make_adapter(6, 4, 2, 32.0, rng)
         x = T.Tensor(rng.normal(size=(3, 5, 4)).astype(np.float32))
         out = L.adapted_matmul(x, w, ad)
         np.testing.assert_array_equal(out.data, M.linear(x, w).data)
 
     def test_scaling_value(self):
-        ad = L.make_adapter(16, 16, 8, 32.0, 0.1, np.random.default_rng(0))
+        ad = L.make_adapter(16, 16, 8, 32.0, np.random.default_rng(0))
         assert ad.scaling == 4.0
 
     def test_explicit_merge_oracle(self):
@@ -44,9 +44,9 @@ class TestAdaptedMatmul:
 
     def test_rank_guard(self):
         with pytest.raises(ConfigError):
-            L.make_adapter(4, 8, 4, 32.0, 0.1, np.random.default_rng(0))
+            L.make_adapter(4, 8, 4, 32.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            L.make_adapter(4, 8, 0, 32.0, 0.1, np.random.default_rng(0))
+            L.make_adapter(4, 8, 0, 32.0, np.random.default_rng(0))
 
     def test_shape_guard(self):
         ad = random_adapter(6, 4, rank=2)
@@ -70,18 +70,17 @@ class TestAdaptedMatmul:
     def test_dropout_only_on_adapter_path(self):
         rng = np.random.default_rng(6)
         w = T.Tensor(rng.normal(size=(6, 4)).astype(np.float32))
-        ad = L.make_adapter(6, 4, 2, 32.0, 0.5, rng)  # B = 0
+        ad = L.make_adapter(6, 4, 2, 32.0, rng)  # B = 0
         x = T.Tensor(rng.normal(size=(1, 8, 4)).astype(np.float32))
-        out = L.adapted_matmul(x, w, ad, training=True, rng=np.random.default_rng(7))
+        out = L.adapted_matmul(x, w, ad, dropout=0.5, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(out.data, M.linear(x, w).data)
 
     def test_dropout_perturbs_nonzero_adapter(self):
         ad = random_adapter(6, 4, rank=2)
-        ad.dropout_rate = 0.5
         w = T.Tensor(np.random.default_rng(8).normal(size=(6, 4)).astype(np.float32))
         x = T.Tensor(np.random.default_rng(9).normal(size=(1, 8, 4)).astype(np.float32))
         clean = L.adapted_matmul(x, w, ad)
-        dropped = L.adapted_matmul(x, w, ad, training=True, rng=np.random.default_rng(10))
+        dropped = L.adapted_matmul(x, w, ad, dropout=0.5, rng=np.random.default_rng(10))
         assert np.any(clean.data != dropped.data)
 
     def test_dropout_needs_rng(self):
@@ -89,7 +88,7 @@ class TestAdaptedMatmul:
         w = T.Tensor(np.zeros((6, 4), dtype=np.float32))
         x = T.Tensor(np.zeros((1, 2, 4), dtype=np.float32))
         with pytest.raises(ConfigError):
-            L.adapted_matmul(x, w, ad, training=True)
+            L.adapted_matmul(x, w, ad, dropout=0.1)
 
 
 class TestAdapterSet:

@@ -475,9 +475,8 @@ class TestPlainPath:
             kind="copy", min_len=3, max_len=3, n_train=4, n_val=2, n_test=1, seed=1))
         prompt = [1, 2, 3, 4]
         before = M.generate(cfg, w, prompt, 6).tokens
-        tc = TR.TrainConfig(lr_min=0.05, lr_max=0.05, schedule="constant",
-                            accum_steps=1, batch_size=4, max_epochs=1,
-                            max_seq=32, eval_every=1)
+        tc = TR.TrainConfig(lr_min=0.05, lr_max=0.05, accum_steps=1,
+                            batch_size=4, max_epochs=1, eval_every=1)
         assert TR.train_model(cfg, w, train, val, tc).steps == 1
         after = M.generate(cfg, w, prompt, 6).tokens
         assert after != before

@@ -45,7 +45,6 @@ def test_train_config_defaults():
     assert tc.accum_steps == 5
     assert tc.patience == 4
     assert tc.eval_every == 50
-    assert tc.phase2_divisor == 3.0
     assert tc.lr_min == 1e-4 and tc.lr_max == 3e-4
 
 
@@ -58,9 +57,8 @@ def test_train_config_defaults():
     dict(eval_every=0),
     dict(lr_min=2e-4, lr_max=1e-4),
     dict(lr_min=-1e-4),
-    dict(schedule="linear"),
+    dict(max_epochs=-1),
     dict(max_epochs=0),
-    dict(phase2_divisor=0.0),
 ])
 def test_train_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
@@ -213,9 +211,8 @@ def test_pretraining_lowers_validation_ce(tmp_path):
     weights = M.init_model(config, np.random.default_rng(1))
     train, val, _ = copy_pairs(48, seed=3)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=3,
-                        lr_min=1e-3, lr_max=3e-3, eval_every=50,
-                        max_seq=config.max_seq, seed=0)
-    batches = TR._val_batches(val, tc)
+                        lr_min=1e-3, lr_max=3e-3, eval_every=50, seed=0)
+    batches = TR._val_batches(val, tc, config.max_seq)
 
     def val_ce():
         return TR._mean_val_ce(batches, lambda b: M.forward_full(
@@ -237,7 +234,7 @@ def test_pretraining_stops_at_target_accuracy():
     weights = M.init_model(config, np.random.default_rng(1))
     train, val, _ = copy_pairs(16, seed=3)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=10,
-                        eval_every=1, max_seq=config.max_seq)
+                        eval_every=1)
     result = TR.train_model(config, weights, train, val, tc,
                             stop_check=lambda: True)
     assert result.stopped_early
@@ -252,8 +249,7 @@ def test_patience_stops_after_flat_validation():
     weights = M.init_model(config, np.random.default_rng(0))
     train, val, _ = copy_pairs(8, seed=1)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=40,
-                        lr_min=0.0, lr_max=0.0, eval_every=1, patience=2,
-                        max_seq=config.max_seq)
+                        lr_min=0.0, lr_max=0.0, eval_every=1, patience=2)
     result = TR.train_model(config, weights, train, val, tc)
     # zero learning rate: first eval sets the best, later ones never improve
     assert result.stopped_early
@@ -266,8 +262,7 @@ def test_improving_runs_are_not_stopped():
     weights = M.init_model(config, np.random.default_rng(2))
     train, val, _ = copy_pairs(16, seed=2)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=2,
-                        lr_min=1e-3, lr_max=3e-3, eval_every=2,
-                        max_seq=config.max_seq)
+                        lr_min=1e-3, lr_max=3e-3, eval_every=2)
     result = TR.train_model(config, weights, train, val, tc)
     assert not result.stopped_early
     assert result.steps == 4
@@ -281,8 +276,7 @@ def test_non_finite_loss_raises_numerical_error():
     weights = M.init_model(config, np.random.default_rng(0))
     weights.head.data[0, 0] = np.nan  # every logit row sees the poison
     train, val, _ = copy_pairs(8, seed=0)
-    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
-                        max_seq=config.max_seq)
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1)
     with pytest.raises(NumericalError):
         TR.train_model(config, weights, train, val, tc)
 
@@ -297,7 +291,7 @@ def test_router_phase_touches_only_routers():
     train, val, _ = copy_pairs(16, seed=4)
     model_snap = snapshot(weights.parameters())
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1, alpha=0.2,
-                        lr_min=1e-3, lr_max=3e-3, max_seq=config.max_seq)
+                        lr_min=1e-3, lr_max=3e-3)
     result = TR.train_routers(config, weights, bank, train, val, tc)
     assert all_identical(weights.parameters(), model_snap)
     assert not all_identical(bank.parameters(), snapshot([T.Tensor(np.zeros(16))] * 2))
@@ -314,7 +308,7 @@ def test_lora_phase_touches_only_adapters():
     model_snap = snapshot(weights.parameters())
     router_snap = snapshot(bank.parameters())
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=2, alpha=0.3,
-                        lr_min=1e-3, lr_max=3e-3, max_seq=config.max_seq)
+                        lr_min=1e-3, lr_max=3e-3)
     adapter_snap = snapshot(adapters.parameters())
     TR.train_lora(config, weights, bank, adapters, train, val, tc)
     assert all_identical(weights.parameters(), model_snap)
@@ -327,8 +321,7 @@ def test_phase_flags_are_restored_after_training():
     weights = M.init_model(config, np.random.default_rng(4))
     bank = R.init_routers(config)
     train, val, _ = copy_pairs(8, seed=4)
-    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
-                        max_seq=config.max_seq)
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1)
     TR.train_routers(config, weights, bank, train, val, tc)
     assert not any(p.requires_grad for p in weights.parameters())
     assert not any(p.requires_grad for p in bank.parameters())
@@ -345,7 +338,7 @@ def test_router_training_is_reproducible():
         weights = M.init_model(config, np.random.default_rng(11))
         bank = R.init_routers(config)
         tc = TR.TrainConfig(batch_size=8, accum_steps=2, max_epochs=2, alpha=0.1,
-                            lr_min=1e-3, lr_max=3e-3, max_seq=config.max_seq, seed=9)
+                            lr_min=1e-3, lr_max=3e-3, seed=9)
         results.append(TR.train_routers(config, weights, bank, train, val, tc))
     assert results[0].rows == results[1].rows
     assert results[0].steps == results[1].steps
@@ -355,8 +348,7 @@ def test_accumulation_smooths_but_matches_step_count():
     config = tiny_config(n_layers=1, d_model=8, d_ff=16)
     weights = M.init_model(config, np.random.default_rng(0))
     train, val, _ = copy_pairs(20, seed=8)
-    tc = TR.TrainConfig(batch_size=4, accum_steps=5, max_epochs=2,
-                        max_seq=config.max_seq)
+    tc = TR.TrainConfig(batch_size=4, accum_steps=5, max_epochs=2)
     result = TR.train_model(config, weights, train, val, tc)
     # 2 epochs x 5 micro-batches with accumulation 5 -> 2 optimizer steps
     assert result.steps == 2
@@ -389,13 +381,12 @@ def one_step_bytes(monkeypatch, model, phase):
     bank = R.init_routers(config, dtype=dtype)
     for router in bank:
         router.weight.data[:] = rng.normal(0.0, 0.5, size=config.d_model)
-    adapters = L.init_adapters(weights, rank=2, dropout_rate=0.1, rng=rng)
+    adapters = L.init_adapters(weights, rank=2, rng=rng)
     for _, ad in adapters.items():
         ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape)
     train, val, _ = copy_pairs(8, seed=6)
     # two micro-batches of four: one step whose gradients add across passes
-    tc = TR.TrainConfig(batch_size=4, accum_steps=2, max_epochs=1, alpha=0.3,
-                        max_seq=config.max_seq, seed=2)
+    tc = TR.TrainConfig(batch_size=4, accum_steps=2, max_epochs=1, alpha=0.3, seed=2)
     grads = []
     step = TR.Adam.step
 
@@ -412,7 +403,8 @@ def one_step_bytes(monkeypatch, model, phase):
             TR.train_routers(config, weights, bank, train, val, tc)
             params = bank.parameters()
         else:
-            TR.train_lora(config, weights, bank, adapters, train, val, tc)
+            TR.train_lora(config, weights, bank, adapters, train, val, tc,
+                          dropout=0.1)
             params = adapters.parameters()
     assert len(grads) == len(params)
     return [(a + 0.0).tobytes() for a in grads + [p.data for p in params]]
@@ -429,11 +421,6 @@ def test_reverse_pass_is_bitwise_equal_to_zero_filled_accumulation(
         reference = one_step_bytes(monkeypatch, model, phase)
     assert len(lean) == len(reference)
     assert lean == reference
-
-
-def test_phase2_divisor_scales_the_penalty():
-    tc = TR.TrainConfig(alpha=0.9)
-    assert tc.alpha / tc.phase2_divisor == pytest.approx(0.3)
 
 
 # ------------------------------------------------- budget tuning helpers
@@ -607,7 +594,7 @@ def test_train_routers_stop_check_halts_at_first_eval():
     bank = R.init_routers(config)
     train, val, _ = copy_pairs(16, seed=4)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=5,
-                        eval_every=1, max_seq=config.max_seq)
+                        eval_every=1)
     result = TR.train_routers(config, weights, bank, train, val, tc,
                               stop_check=lambda: True)
     assert result.stopped_early
@@ -623,7 +610,7 @@ def _run_phase(phase, stop_check=None):
     adapters = L.init_adapters(weights, rank=2, rng=np.random.default_rng(6))
     train, val, _ = copy_pairs(16, seed=4)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
-                        eval_every=1, alpha=0.2, max_seq=config.max_seq)
+                        eval_every=1, alpha=0.2)
     if phase == "model":
         TR.train_model(config, weights, train, val, tc, stop_check=stop_check)
     elif phase == "routers":
@@ -667,8 +654,7 @@ def test_tune_routers_band_validation(kw):
     config = tiny_config()
     weights = M.init_model(config, np.random.default_rng(5))
     train, val, _ = copy_pairs(8, seed=5)
-    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
-                        max_seq=config.max_seq)
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1)
     with pytest.raises(ConfigError):
         TR.tune_routers_to_band(config, weights, train, val, tc, val, **kw)
 
@@ -677,8 +663,7 @@ def test_tune_routers_trivial_band_stops_immediately():
     config = tiny_config()
     weights = M.init_model(config, np.random.default_rng(6))
     train, val, _ = copy_pairs(8, seed=6)
-    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1,
-                        max_seq=config.max_seq)
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1)
     tuned = TR.tune_routers_to_band(config, weights, train, val, tc, val,
                                     band=(0.0, 1.0))
     assert tuned.attempts == 1
@@ -691,8 +676,7 @@ def test_tune_routers_unreachable_band_raises():
     weights = M.init_model(config, np.random.default_rng(7))
     train, val, _ = copy_pairs(8, seed=7)
     tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1, alpha=0.0,
-                        lr_min=1e-6, lr_max=1e-6, schedule="constant",
-                        max_seq=config.max_seq)
+                        lr_min=1e-6, lr_max=1e-6)
     with pytest.raises(ConfigError, match="missed the skip band"):
         TR.tune_routers_to_band(config, weights, train, val, tc, val,
                                 band=(0.99, 1.0), max_attempts=1)
