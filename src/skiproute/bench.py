@@ -73,11 +73,6 @@ class LatencyReport:
 
     entries: dict[str, TpotResult] = field(default_factory=dict)
 
-    def add(self, name: str, result: TpotResult) -> None:
-        if name in self.entries:
-            raise ConfigError(f"duplicate measurement name {name!r}")
-        self.entries[name] = result
-
     def relative(self, name: str, baseline: str) -> float:
         """Median-TPOT ratio of a method against a named baseline."""
         for key in (name, baseline):

@@ -14,9 +14,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .model import LayerWeights, ModelWeights, linear
+from .model import LayerWeights, ModelWeights
 from .tensor import Tensor
 
 TARGET_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
@@ -106,13 +105,13 @@ def check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
             f"{d_out}x{d_in} weight at rank {adapter.rank}")
 
 
-def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
-                   dropout: float = 0.0,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
+def adapted_matmul(ops, x, base_weight: Tensor, adapter: LoraAdapter,
+                   dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
     """x @ W.T plus the scaled low-rank path, whose input entries are
-    dropped at rate ``dropout`` (drawn from ``rng``)."""
+    dropped at rate ``dropout`` (drawn from ``rng``), over the ops
+    namespace ``ops`` (``tensor`` on the tape, ``tensor.plain`` without)."""
     check_fits(adapter, base_weight)
-    base = linear(x, base_weight)
+    base = ops.linear(x, base_weight)
     xa = x
     if dropout > 0.0:
         if rng is None:
@@ -120,34 +119,25 @@ def adapted_matmul(x: Tensor, base_weight: Tensor, adapter: LoraAdapter,
         keep = 1.0 - dropout
         # one pass: kept entries are 1/keep rounded in x's dtype, the rest 0
         inv_keep = x.dtype.type(1) / x.dtype.type(keep)
-        xa = T.mul(x, Tensor(np.multiply(rng.random(x.shape) < keep, inv_keep,
-                                         dtype=x.dtype)))
-    low = T.linear(T.linear(xa, adapter.a), adapter.b)
-    return T.add(base, T.scale(low, adapter.scaling))
+        xa = ops.mul(x, ops.lift(np.multiply(rng.random(x.shape) < keep, inv_keep,
+                                             dtype=x.dtype)))
+    low = ops.linear(ops.linear(xa, adapter.a), adapter.b)
+    return ops.add(base, ops.scale(low, adapter.scaling))
 
 
 def adapted_project(adapters: AdapterSet, dropout: float = 0.0,
                     rng: Optional[np.random.Generator] = None):
-    """A projection hook for the model forward that applies matching adapters.
+    """A projection hook for the model forward that runs ``adapted_matmul``
+    with ``dropout`` wherever an adapter matches, and the plain projection
+    elsewhere. Training passes a hook with dropout to its training steps
+    only."""
 
-    On the tape (a Tensor ``x``) it is ``adapted_matmul`` with ``dropout``.
-    On plain arrays, which the forward uses when nothing requires grad, it
-    computes the same sum x @ W.T + scaling * (x @ A.T) @ B.T from ``.data``
-    views; dropout belongs to training, which runs on the tape.
-    """
-
-    def project(x, w: Tensor, layer_index: int, name: str):
+    def project(ops, x, w: Tensor, layer_index: int, name: str):
         ad = adapters.get(layer_index, name)
         if ad is None:
-            return linear(x, w)
-        if isinstance(x, Tensor):
-            return adapted_matmul(x, w, ad, dropout, rng)
-        check_fits(ad, w)
-        low = T.linear_fwd(T.linear_fwd(x, ad.a.data), ad.b.data)
-        return T.linear_fwd(x, w.data) + T.scale_fwd(low, ad.scaling)
+            return ops.linear(x, w)
+        return adapted_matmul(ops, x, w, ad, dropout, rng)
 
-    # the model forward records a graph when any of these requires grad
-    project.parameters = adapters.parameters
     return project
 
 

@@ -10,17 +10,16 @@ Weight matrices are stored (out_features, in_features); a projection is
 always x @ W.T. The KV cache holds post-rotation keys, so cached entries
 never need re-rotating as decoding advances.
 
-One definition of the layer serves training and inference: ``layer_branch``
-runs over the tape ops when grad mode is on and its input or a parameter it
-applies requires grad, and over the same forward kernels on bare arrays
-otherwise (see ``tensor.plain``). Inference (``no_grad``) therefore builds
-no tape objects and reads weights through ``.data`` views, so a weight
-updated in place is used by the next call.
+One definition of the layer serves training and inference, written against
+an ops namespace that ``_ops`` picks by grad mode alone: the tape ops when
+grad mode is on, the same forward kernels on bare arrays under ``no_grad``
+(see ``tensor.plain``). Inference therefore builds no tape objects and
+reads weights through ``.data`` views, so a weight updated in place is used
+by the next call.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -151,7 +150,6 @@ class KVCache:
                  decode_skip: Sequence[int] = (), dtype=np.float32):
         shape = (batch_size, config.n_heads, config.max_seq, config.head_dim)
         self.config = config
-        self.batch_size = batch_size
         self.k = [np.empty(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.v = [np.empty(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.filled = [0] * config.n_layers
@@ -173,41 +171,13 @@ class KVCache:
         return k[:, :, :hi], v[:, :, :hi]
 
 
-def _ops(tensors, project=None):
-    """The tape ops when grad mode is on and some tensor in ``tensors`` or a
-    parameter of the ``project`` hook requires grad; else the plain kernels."""
-    if not T.grad_enabled():
-        return T.plain
-    if any(isinstance(t, Tensor) and t.requires_grad for t in tensors):
-        return T
-    # only now list the hook's parameters (168 adapter tensors on the
-    # default model); past the first adapted layer the input decides
-    hooked = getattr(project, "parameters", None)
-    if hooked is not None and any(p.requires_grad for p in hooked()):
-        return T
-    return T.plain
+def _ops():
+    """The tape ops in grad mode, the plain kernels under ``no_grad``."""
+    return T if T.grad_enabled() else T.plain
 
 
-def _run(fn, x, params, project=None):
-    """``fn(ops, x)`` over the ops ``_ops`` picks for ``x`` and ``params``.
-
-    The result is a Tensor when ``x`` is one or the tape ran, else an
-    ndarray."""
-    ops = _ops(itertools.chain((x,), params), project)
-    out = fn(ops, ops.lift(x))
-    return T.lift(out) if isinstance(x, Tensor) else out
-
-
-def linear(x, w: Tensor):
-    """x @ W.T for a (out_features, in_features) weight: on the tape for a
-    Tensor ``x``, on plain arrays (reading ``w.data.T``) for an ndarray."""
-    if isinstance(x, Tensor):
-        return T.linear(x, w)
-    return T.linear_fwd(x, w.data)
-
-
-def _plain_project(x, w: Tensor, layer_index: int, name: str):
-    return linear(x, w)
+def _plain_project(ops, x, w: Tensor, layer_index: int, name: str):
+    return ops.linear(x, w)
 
 
 def attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
@@ -243,9 +213,9 @@ def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
     def heads(t):  # (b, n, d) -> (b, h, n, hd)
         return ops.transpose(ops.reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
 
-    q = ops.rope(heads(project(x, lw.wq, layer_index, "wq")), cos, sin)
-    k = ops.rope(heads(project(x, lw.wk, layer_index, "wk")), cos, sin)
-    v = heads(project(x, lw.wv, layer_index, "wv"))
+    q = ops.rope(heads(project(ops, x, lw.wq, layer_index, "wq")), cos, sin)
+    k = ops.rope(heads(project(ops, x, lw.wk, layer_index, "wk")), cos, sin)
+    v = heads(project(ops, x, lw.wv, layer_index, "wv"))
 
     if cache is not None:
         # Stash the post-rotation rows and read the whole prefix back as
@@ -256,13 +226,13 @@ def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
 
     out = ops.attention(q, k, v, hd**-0.5, mask)
     out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, n, d))
-    return project(out, lw.wo, layer_index, "wo")
+    return project(ops, out, lw.wo, layer_index, "wo")
 
 
 def _ffn(ops, lw: LayerWeights, x, layer_index: int, project):
-    gated = ops.swiglu(project(x, lw.w_gate, layer_index, "w_gate"),
-                       project(x, lw.w_up, layer_index, "w_up"))
-    return project(gated, lw.w_down, layer_index, "w_down")
+    gated = ops.swiglu(project(ops, x, lw.w_gate, layer_index, "w_gate"),
+                       project(ops, x, lw.w_up, layer_index, "w_up"))
+    return project(ops, gated, lw.w_down, layer_index, "w_down")
 
 
 def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
@@ -272,19 +242,16 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
                  project=None, mask: Optional[np.ndarray] = None):
     """The layer's residual contribution: attention delta plus FFN delta.
 
-    ``project(x, w, layer_index, name)`` lets callers wrap every weight
-    application (low-rank adapters); it defaults to the plain projection.
-    It gets a Tensor on the tape and an ndarray otherwise, and a hook that
-    applies parameters of its own lists them in ``project.parameters()``.
+    ``project(ops, x, w, layer_index, name)`` lets callers wrap every weight
+    application (low-rank adapters); it defaults to ``ops.linear(x, w)``.
 
     ``mask`` is the ``attention_mask`` of ``attn_mask`` for this block: a
     pass over many layers builds it once and hands it to each. When None,
     the layer builds it from ``attn_mask``.
 
-    The layer runs on the tape when grad mode is on and ``x`` or a
-    parameter it applies requires grad, else on plain arrays. ``x`` is a
-    Tensor or an ndarray; the result is a Tensor when ``x`` is one or the
-    tape ran, else an ndarray.
+    ``x`` is a Tensor or an ndarray. The layer runs over ``_ops()``: in
+    grad mode on the tape, returning a Tensor; under ``no_grad`` on plain
+    arrays, returning an ndarray.
     """
     if project is None:
         project = _plain_project
@@ -299,33 +266,31 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
         mask = attention_mask(attn_mask, x.shape[0], x.shape[1], past + x.shape[1])
     lw = weights.layers[layer_index]
     positions = np.asarray(positions)
-
-    def branch(ops, x):
-        a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), mask,
-                       positions, cache, layer_index, project)
-        f = _ffn(ops, lw, ops.rmsnorm(ops.add(x, a), lw.ffn_norm), layer_index, project)
-        return ops.add(a, f)
-
-    return _run(branch, x, lw.parameters(), project)
+    ops = _ops()
+    x = ops.lift(x)
+    a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), mask,
+                   positions, cache, layer_index, project)
+    f = _ffn(ops, lw, ops.rmsnorm(ops.add(x, a), lw.ffn_norm), layer_index, project)
+    return ops.add(a, f)
 
 
 def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                   x, attn_mask: Optional[np.ndarray] = None,
                   cache: Optional[KVCache] = None,
                   positions: Optional[np.ndarray] = None,
-                  project=None, mask: Optional[np.ndarray] = None):
-    """Residual-added layer output, of the kind ``layer_branch`` returns."""
+                  project=None, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Residual-added layer output, as a Tensor."""
+    ops = _ops()
     branch = layer_branch(config, weights, layer_index, x,
                           attn_mask, cache, positions, project, mask)
-    if isinstance(branch, Tensor):
-        return T.add(T.lift(x), branch)
-    return x + branch
+    return T.lift(ops.add(ops.lift(x), branch))
 
 
 def _finish(weights: ModelWeights, h):
-    """Logits from the last hidden state, of the kind ``_run`` returns."""
-    return _run(lambda ops, h: linear(ops.rmsnorm(h, weights.final_norm), weights.head),
-                h, (weights.final_norm, weights.head))
+    """Logits from the last hidden state, over ``_ops()`` as ``layer_branch``
+    runs: a Tensor in grad mode, an ndarray under ``no_grad``."""
+    ops = _ops()
+    return ops.linear(ops.rmsnorm(ops.lift(h), weights.final_norm), weights.head)
 
 
 def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
@@ -337,9 +302,9 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     With a cache, the block continues the session: positions pick up at
     ``cache.n_positions`` and executed layers append their K,V rows. With
     ``hidden``, the hidden state entering each executed layer is appended
-    to it as a Tensor (what the routers read at prefill). Where nothing
-    requires grad the whole pass runs on plain arrays. The attention mask
-    is built and checked once and shared by every layer.
+    to it as a Tensor (what the routers read at prefill). Under ``no_grad``
+    the whole pass runs on plain arrays. The attention mask is built and
+    checked once and shared by every layer.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -351,15 +316,16 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     skip = frozenset(int(i) for i in skip_set)
     positions = np.arange(start, start + n)
 
-    h = _ops((weights.embedding,)).embedding(weights.embedding, tokens)
+    ops = _ops()
+    h = ops.embedding(weights.embedding, tokens)
     mask = attention_mask(attn_mask, tokens.shape[0], n, start + n)
     for i in range(config.n_layers):
         if i in skip:
             continue
         if hidden is not None:
             hidden.append(T.lift(h))
-        h = layer_forward(config, weights, i, h, attn_mask, cache, positions,
-                          project, mask)
+        h = ops.add(h, layer_branch(config, weights, i, h, attn_mask, cache,
+                                    positions, project, mask))
     if cache is not None:
         cache.n_positions += n
     return T.lift(_finish(weights, h))
@@ -423,7 +389,6 @@ def sample_token(logits_row: np.ndarray, sampler: SamplerConfig,
 class GenerationResult:
     tokens: list[int]
     decode_times: list[float] = field(default_factory=list)
-    prefill_time: float = 0.0
 
 
 def _generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[int],
@@ -445,9 +410,7 @@ def _generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[i
         raise ShapeError("cannot generate from an empty prompt")
 
     with T.no_grad():
-        t0 = time.perf_counter()
         logits, cache, extra = prefill(prompt[None, :])
-        prefill_time = time.perf_counter() - t0
 
         out: list[int] = []
         times: list[float] = []
@@ -461,8 +424,7 @@ def _generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[i
             tok = sample_token(logits.data[0, -1], sampler, rng)
             times.append(time.perf_counter() - t0)
             out.append(tok)
-    return GenerationResult(tokens=out, decode_times=times,
-                            prefill_time=prefill_time), extra
+    return GenerationResult(tokens=out, decode_times=times), extra
 
 
 def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[int],

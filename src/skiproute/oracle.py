@@ -65,7 +65,7 @@ def subsequence_forward(config: ModelConfig, weights: ModelWeights,
         levels[i] = M.layer_forward(config, weights, i, src, attn_mask,
                                     None, positions, project)
     top = levels[include[-1]] if include else levels[EMBEDDING_LEVEL]
-    return M._finish(weights, top)
+    return T.lift(M._finish(weights, top))
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,8 @@ def soft_layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: 
                        project=None, mask: Optional[np.ndarray] = None) -> Tensor:
     """hidden + rho * branch: exact layer at rho=1, exact identity at rho=0.
     ``mask`` is the prebuilt attention mask, as for ``M.layer_branch``."""
-    branch = M.layer_branch(config, weights, layer_index, hidden, attn_mask,
-                            project=project, mask=mask)
+    branch = T.lift(M.layer_branch(config, weights, layer_index, hidden, attn_mask,
+                                   project=project, mask=mask))
     return T.add(hidden, T.mul(rho, branch))
 
 
@@ -152,7 +152,7 @@ def soft_forward(config: ModelConfig, weights: ModelWeights, routers: RouterBank
         rho = unify_batch(router_probability(routers[i], h, router_mask))
         rhos.append(rho)
         h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project, mask)
-    return M._finish(weights, h), rhos
+    return T.lift(M._finish(weights, h)), rhos
 
 
 def prefill(config: ModelConfig, weights: ModelWeights, routers: RouterBank,

@@ -614,10 +614,13 @@ def parameters_norm_sq(params: Iterable[Tensor]) -> Tensor:
 
 # The kernels under the names and signatures of the tape ops, over bare
 # ndarrays; parameters stay Tensors and are read through ``.data``. Code
-# that takes an ops namespace runs on this one when nothing needs a graph.
+# that takes an ops namespace runs on this one under ``no_grad``.
 plain = SimpleNamespace(
     lift=lambda x: x.data if isinstance(x, Tensor) else x,
     add=np.add,
+    mul=np.multiply,
+    scale=scale_fwd,
+    linear=lambda x, w: linear_fwd(x, w.data),
     attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
     swiglu=lambda g, u: swiglu_fwd(g, u)[0],
     transpose=lambda x, axes: x.transpose(axes),

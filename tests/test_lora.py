@@ -26,21 +26,28 @@ class TestAdaptedMatmul:
         w = T.Tensor(rng.normal(size=(6, 4)).astype(np.float32))
         ad = L.make_adapter(6, 4, 2, 32.0, rng)
         x = T.Tensor(rng.normal(size=(3, 5, 4)).astype(np.float32))
-        out = L.adapted_matmul(x, w, ad)
-        np.testing.assert_array_equal(out.data, M.linear(x, w).data)
+        out = L.adapted_matmul(T, x, w, ad)
+        np.testing.assert_array_equal(out.data, T.linear(x, w).data)
 
     def test_scaling_value(self):
         ad = L.make_adapter(16, 16, 8, 32.0, np.random.default_rng(0))
         assert ad.scaling == 4.0
 
-    def test_explicit_merge_oracle(self):
+    @pytest.mark.parametrize("ops", [T, T.plain], ids=["tape", "plain"])
+    def test_explicit_merge_oracle(self, ops):
         ad = random_adapter(4, 4, rank=2, alpha=8.0)  # scaling 4.0
         assert ad.scaling == 4.0
         w = T.Tensor(np.random.default_rng(3).normal(size=(4, 4)).astype(np.float32))
         x = T.Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)).astype(np.float32))
-        out = L.adapted_matmul(x, w, ad)
+        out = T.lift(L.adapted_matmul(ops, ops.lift(x), w, ad))
         explicit = x.data @ (w.data + 4.0 * (ad.b.data @ ad.a.data)).T
         assert np.max(np.abs(out.data - explicit)) < 1e-6
+        # either namespace computes the tape's bytes, dropout draws included
+        assert out.data.tobytes() == L.adapted_matmul(T, x, w, ad).data.tobytes()
+        dropped = L.adapted_matmul(ops, ops.lift(x), w, ad, dropout=0.5,
+                                   rng=np.random.default_rng(7))
+        want = L.adapted_matmul(T, x, w, ad, dropout=0.5, rng=np.random.default_rng(7))
+        assert T.lift(dropped).data.tobytes() == want.data.tobytes()
 
     def test_rank_guard(self):
         with pytest.raises(ConfigError):
@@ -53,7 +60,7 @@ class TestAdaptedMatmul:
         w = T.Tensor(np.zeros((8, 4), dtype=np.float32))
         x = T.Tensor(np.zeros((1, 2, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
-            L.adapted_matmul(x, w, ad)
+            L.adapted_matmul(T, x, w, ad)
 
     def test_gradients_reach_only_adapter(self):
         rng = np.random.default_rng(5)
@@ -62,7 +69,7 @@ class TestAdaptedMatmul:
         ad.a.requires_grad = True
         ad.b.requires_grad = True
         x = T.Tensor(rng.normal(size=(2, 3, 4)))
-        out = L.adapted_matmul(x, w, ad)
+        out = L.adapted_matmul(T, x, w, ad)
         out.backward(np.ones(out.shape))
         assert w.grad is None
         assert np.any(ad.a.grad != 0) and np.any(ad.b.grad != 0)
@@ -72,15 +79,15 @@ class TestAdaptedMatmul:
         w = T.Tensor(rng.normal(size=(6, 4)).astype(np.float32))
         ad = L.make_adapter(6, 4, 2, 32.0, rng)  # B = 0
         x = T.Tensor(rng.normal(size=(1, 8, 4)).astype(np.float32))
-        out = L.adapted_matmul(x, w, ad, dropout=0.5, rng=np.random.default_rng(7))
-        np.testing.assert_array_equal(out.data, M.linear(x, w).data)
+        out = L.adapted_matmul(T, x, w, ad, dropout=0.5, rng=np.random.default_rng(7))
+        np.testing.assert_array_equal(out.data, T.linear(x, w).data)
 
     def test_dropout_perturbs_nonzero_adapter(self):
         ad = random_adapter(6, 4, rank=2)
         w = T.Tensor(np.random.default_rng(8).normal(size=(6, 4)).astype(np.float32))
         x = T.Tensor(np.random.default_rng(9).normal(size=(1, 8, 4)).astype(np.float32))
-        clean = L.adapted_matmul(x, w, ad)
-        dropped = L.adapted_matmul(x, w, ad, dropout=0.5, rng=np.random.default_rng(10))
+        clean = L.adapted_matmul(T, x, w, ad)
+        dropped = L.adapted_matmul(T, x, w, ad, dropout=0.5, rng=np.random.default_rng(10))
         assert np.any(clean.data != dropped.data)
 
     def test_dropout_needs_rng(self):
@@ -88,7 +95,7 @@ class TestAdaptedMatmul:
         w = T.Tensor(np.zeros((6, 4), dtype=np.float32))
         x = T.Tensor(np.zeros((1, 2, 4), dtype=np.float32))
         with pytest.raises(ConfigError):
-            L.adapted_matmul(x, w, ad, dropout=0.1)
+            L.adapted_matmul(T, x, w, ad, dropout=0.1)
 
 
 class TestAdapterSet:

@@ -201,14 +201,12 @@ def test_tpot_runs_configurations_in_turn():
 
 
 def test_latency_report_relative_ratio():
-    report = B.LatencyReport()
-    report.add("full", B.TpotResult((0.02, 0.04), 0.03, 0.03, 20))
-    report.add("routed", B.TpotResult((0.015, 0.015), 0.015, 0.015, 20))
+    report = B.LatencyReport({
+        "full": B.TpotResult((0.02, 0.04), 0.03, 0.03, 20),
+        "routed": B.TpotResult((0.015, 0.015), 0.015, 0.015, 20)})
     assert report.relative("routed", "full") == pytest.approx(0.5)
     with pytest.raises(ConfigError):
         report.relative("missing", "full")
-    with pytest.raises(ConfigError):
-        report.add("full", B.TpotResult((0.1,), 0.1, 0.1, 1))
 
 
 def test_tpot_iqr_from_fake_decode_times(tmp_path):
@@ -218,8 +216,7 @@ def test_tpot_iqr_from_fake_decode_times(tmp_path):
     assert r.median == pytest.approx(0.03)
     assert r.iqr == pytest.approx(0.02)
     assert B.TpotResult((0.02,), 0.02, 0.02, 10).iqr == 0.0
-    report = B.LatencyReport()
-    report.add("full", r)
+    report = B.LatencyReport({"full": r})
     path = tmp_path / "latency.csv"
     B.write_latency_csv(str(path), report, baseline="full")
     with open(path, newline="") as fh:
@@ -228,9 +225,8 @@ def test_tpot_iqr_from_fake_decode_times(tmp_path):
 
 
 def test_latency_csv(tmp_path):
-    report = B.LatencyReport()
-    report.add("full", B.TpotResult((0.02,), 0.02, 0.02, 10))
-    report.add("routed", B.TpotResult((0.01,), 0.01, 0.01, 10))
+    report = B.LatencyReport({"full": B.TpotResult((0.02,), 0.02, 0.02, 10),
+                              "routed": B.TpotResult((0.01,), 0.01, 0.01, 10)})
     path = tmp_path / "latency.csv"
     B.write_latency_csv(str(path), report, baseline="full")
     with open(path) as fh:
