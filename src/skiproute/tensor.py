@@ -18,6 +18,9 @@ Conventions:
     ``.grad`` may share memory with another node's gradient (``add`` hands
     one array to both parents, ``reshape``/``transpose`` hand views).
     Treat every ``.grad`` as read-only.
+  - only leaves keep ``.grad`` after a backward pass: an interior node
+    drops its gradient as soon as it has passed it to its parents, so the
+    pass holds the gradients of one frontier, not of the whole graph.
   - tensors that participate in a graph must not be mutated in place.
 """
 
@@ -106,7 +109,13 @@ class Tensor:
             self.grad[...] = g
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode sweep from this node; grads add into ``.grad``."""
+        """Reverse-mode sweep from this node; grads add into the leaves' ``.grad``.
+
+        Every interior node (one with a backward) drops its ``.grad`` once
+        it has passed it on, this node included; only leaves keep theirs.
+        The graph itself stays until its nodes go out of scope, so a second
+        sweep through it adds to the leaves again.
+        """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -138,7 +147,8 @@ class Tensor:
         self.accumulate_grad(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -178,6 +188,20 @@ def scale_fwd(d: np.ndarray, s: float) -> np.ndarray:
 def linear_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ W.T for a (out_features, in_features) weight."""
     return x @ w.T
+
+
+def adapted_linear_fwd(x: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       scaling: float, mask=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x @ W.T + scaling * (((x * mask) @ A.T) @ B.T)``, and the low-rank
+    path's input ``x * mask`` and its rank-wide product (for backward); see
+    ``adapted_linear``. The scaling and the sum are formed in place."""
+    xa = x if mask is None else x * mask
+    la = linear_fwd(xa, a)
+    low = linear_fwd(la, b)
+    low *= np.asarray(scaling, dtype=low.dtype)
+    out = linear_fwd(x, w)
+    out += low
+    return out, xa, la
 
 
 def sigmoid_fwd(d: np.ndarray) -> np.ndarray:
@@ -320,6 +344,12 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def _linear_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the weight of ``linear(x, W)`` for output gradient ``g``."""
+    gw = np.tensordot(x, g, axes=([0, 1], [0, 1])) if x.ndim == 3 else x.T @ g
+    return gw.T
+
+
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """``x @ W.T`` for a rank-2 or rank-3 ``x`` and an (out_features,
     in_features) weight: one node where ``matmul`` of ``transpose`` takes two,
@@ -334,11 +364,49 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w.data)
         if w.requires_grad:
-            gw = (np.tensordot(x.data, g, axes=([0, 1], [0, 1])) if x.ndim == 3
-                  else x.data.T @ g)
-            w.accumulate_grad(gw.T)
+            w.accumulate_grad(_linear_weight_grad(x.data, g))
 
     return _make(data, (x, w), backward)
+
+
+def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
+                   mask=None) -> Tensor:
+    """A projection with a low-rank adapter, ``x @ W.T + scaling * (((x *
+    mask) @ A.T) @ B.T)``, as one node where the composed ``linear``,
+    ``mul``, ``scale`` and ``add`` ops take up to six; forward and gradients
+    match them bitwise. ``mask`` (an array of ``x``'s shape, or None) is a
+    constant; the node keeps only ``x * mask`` and the rank-wide product,
+    which backward reads, and none of the output-wide intermediates."""
+    if x.ndim not in (2, 3) or w.ndim != 2 or a.ndim != 2 or x.shape[-1] != w.shape[1] \
+            or a.shape[1] != w.shape[1] or b.shape != (w.shape[0], a.shape[0]):
+        raise ShapeError(f"adapted_linear operands disagree: x {x.shape}, W {w.shape}, "
+                         f"A {a.shape}, B {b.shape}")
+    scaling = float(scaling)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=x.dtype)
+    out, xa, la = adapted_linear_fwd(x.data, w.data, a.data, b.data, scaling, mask)
+
+    # the composed graph's backward, in the order its reverse sweep runs it:
+    # the base product first, then the scaled low-rank chain from B back to x
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data)
+        if w.requires_grad:
+            w.accumulate_grad(_linear_weight_grad(x.data, g))
+        if not (x.requires_grad or a.requires_grad or b.requires_grad):
+            return
+        gl = g * np.asarray(scaling, dtype=g.dtype)
+        if b.requires_grad:
+            b.accumulate_grad(_linear_weight_grad(la, gl))
+        if x.requires_grad or a.requires_grad:
+            gla = gl @ b.data
+            if a.requires_grad:
+                a.accumulate_grad(_linear_weight_grad(xa, gla))
+            if x.requires_grad:
+                gx = gla @ a.data
+                x.accumulate_grad(gx if mask is None else gx * mask)
+
+    return _make(out, (x, w, a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -618,9 +686,9 @@ def parameters_norm_sq(params: Iterable[Tensor]) -> Tensor:
 plain = SimpleNamespace(
     lift=lambda x: x.data if isinstance(x, Tensor) else x,
     add=np.add,
-    mul=np.multiply,
-    scale=scale_fwd,
     linear=lambda x, w: linear_fwd(x, w.data),
+    adapted_linear=lambda x, w, a, b, scaling, mask=None: adapted_linear_fwd(
+        x, w.data, a.data, b.data, scaling, mask)[0],
     attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
     swiglu=lambda g, u: swiglu_fwd(g, u)[0],
     transpose=lambda x, axes: x.transpose(axes),

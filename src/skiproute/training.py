@@ -110,12 +110,17 @@ class LossBreakdown:
     alpha_eff: float
 
     def verify(self) -> None:
-        want = self.ce.item() + self.lam * self.reg.item() + self.alpha_eff * self.pp.item()
+        ce, reg, pp = self.ce.item(), self.reg.item(), self.pp.item()
+        want = ce + self.lam * reg + self.alpha_eff * pp
         if not math.isfinite(self.total.item()):
             raise NumericalError(
-                f"non-finite loss: ce={self.ce.item()}, reg={self.reg.item()}, "
-                f"pp={self.pp.item()}")
-        if abs(self.total.item() - want) > 1e-6:
+                f"non-finite loss: ce={ce}, reg={reg}, pp={pp}")
+        # the terms are scaled and summed in their own dtypes: allow a few
+        # ulps of the coarsest at the terms' magnitude (three roundings, and
+        # lam and alpha rounded)
+        eps = max(float(np.finfo(t.dtype).eps) for t in (self.ce, self.reg, self.pp, self.total))
+        bound = 4 * eps * (abs(ce) + self.lam * abs(reg) + self.alpha_eff * abs(pp))
+        if abs(self.total.item() - want) > bound:
             raise NumericalError(
                 f"loss decomposition broke: total={self.total.item()} vs {want}")
 

@@ -206,6 +206,16 @@ def test_criterion_1_gradient_suite():
     ang = np.outer(np.arange(n), inv)
     cos, sin = np.cos(ang), np.sin(ang)
     x_rope = rng.normal(size=(2, n, hd))
+    w54 = rng.normal(size=(5, 4))
+    counts = np.array([[3.0], [7.0]])
+    q = rng.normal(size=(1, 2, 3, 4))
+    kv = rng.normal(size=(1, 2, 5, 4))
+    vv = rng.normal(size=(1, 2, 5, 4))
+    keep = np.arange(5)[None, :] <= np.arange(2, 5)[:, None]
+    keep[1, 0] = False
+    lo_a = rng.normal(size=(2, 4))
+    lo_b = rng.normal(size=(5, 2))
+    drop = (rng.random(size=(2, 3, 4)) < 0.75) / 0.75
 
     ops = {
         "add": (lambda a, b: T.add(a, b), [x23, y23]),
@@ -228,6 +238,17 @@ def test_criterion_1_gradient_suite():
             lambda lg: T.cross_entropy(lg, targets, ignore), [logits]),
         "parameters_norm_sq": (
             lambda a, b: T.parameters_norm_sq([a, b]), [x23, b43]),
+        "linear": (lambda a, w: T.linear(a, w), [x234, w54]),
+        "divide": (lambda a: T.divide(a, counts), [x23]),
+        "attention": (lambda q, k, v: T.attention(q, k, v, 0.5), [q, kv, vv]),
+        "attention_masked": (
+            lambda q, k, v: T.attention(q, k, v, 0.5, keep), [q, kv, vv]),
+        "swiglu": (lambda g, u: T.swiglu(g, u), [x23, y23]),
+        "adapted_linear": (
+            lambda x, w, a, b: T.adapted_linear(x, w, a, b, 1.7), [x234, w54, lo_a, lo_b]),
+        "adapted_linear_masked": (
+            lambda x, w, a, b: T.adapted_linear(x, w, a, b, 1.7, drop),
+            [x234, w54, lo_a, lo_b]),
     }
     worst_name, worst_err = "", 0.0
     for name, (fn, arrays) in ops.items():

@@ -261,6 +261,75 @@ class TestSwiglu:
         check_op_grad(lambda x: T.swiglu(T.Tensor(g), x), u)
 
 
+def _composed_adapted_linear(x, w, a, b, scaling, mask):
+    """The adapter formula in the composed ops, as one node replaces it."""
+    xa = x if mask is None else T.mul(x, T.Tensor(mask))
+    low = T.linear(T.linear(xa, a), b)
+    return T.add(T.linear(x, w), T.scale(low, scaling))
+
+
+def _dropout_mask(shape, rng, dtype=np.float32):
+    return np.multiply(rng.random(shape) < 0.9, dtype(1) / dtype(0.9), dtype=dtype)
+
+
+class TestAdaptedLinear:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("w_grad", [False, True])
+    @pytest.mark.parametrize("x_shape", [(19, 64), (4, 19, 64)])
+    def test_bitwise_equal_to_composed_ops(self, x_shape, w_grad, x_grad, masked):
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(size=x_shape).astype(np.float32)
+        w0 = rng.normal(scale=0.1, size=(48, 64)).astype(np.float32)
+        a0 = rng.normal(scale=0.02, size=(8, 64)).astype(np.float32)
+        b0 = rng.normal(scale=0.05, size=(48, 8)).astype(np.float32)
+        seed = rng.normal(size=x_shape[:-1] + (48,)).astype(np.float32)
+        mask = _dropout_mask(x_shape, rng) if masked else None
+        runs = []
+        for op in (T.adapted_linear, _composed_adapted_linear):
+            x = T.Tensor(x0, requires_grad=x_grad)
+            w = T.Tensor(w0, requires_grad=w_grad)
+            a = T.Tensor(a0, requires_grad=True)
+            b = T.Tensor(b0, requires_grad=True)
+            # x also feeds a plain projection, whose gradient reaches it
+            # first, so the order of the node's two terms shows in the bits
+            out = T.add(T.linear(x, T.Tensor(w0)), op(x, w, a, b, 4.0 / 3.0, mask))
+            out.backward(seed)
+            runs.append([out.data] + [t.grad for t in (x, w, a, b)])
+        for got, want in zip(*runs):
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        plain = T.plain.adapted_linear(x0, T.Tensor(w0), T.Tensor(a0), T.Tensor(b0),
+                                       4.0 / 3.0, mask)
+        want = _composed_adapted_linear(*(T.Tensor(t) for t in (x0, w0, a0, b0)),
+                                        4.0 / 3.0, mask).data
+        assert plain.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_grad(self, masked):
+        x, w, a, b = rand64(2, 3, 4), rand64(5, 4), rand64(2, 4), rand64(5, 2)
+        mask = _dropout_mask(x.shape, np.random.default_rng(4), np.float64) if masked \
+            else None
+        args = [T.Tensor(t) for t in (x, w, a, b)]
+        for i, t in enumerate((x, w, a, b)):
+            def build(v, i=i):
+                return T.adapted_linear(*args[:i], v, *args[i + 1:], 1.7, mask)
+            check_op_grad(build, t)
+
+    def test_shape_errors(self):
+        x, w = T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((5, 4)))
+        a, b = T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((5, 2)))
+        with pytest.raises(ShapeError):
+            T.adapted_linear(T.Tensor(np.zeros((3, 5))), w, a, b, 1.0)
+        with pytest.raises(ShapeError):
+            T.adapted_linear(x, w, T.Tensor(np.zeros((2, 3))), b, 1.0)
+        with pytest.raises(ShapeError):
+            T.adapted_linear(x, w, a, T.Tensor(np.zeros((5, 3))), 1.0)
+
+
 class TestMeanSum:
     def test_constant(self):
         out = T.mean_axis(T.Tensor(np.full((2, 5), 3.25)), axis=1)
@@ -418,6 +487,52 @@ class TestAutodiffEngine:
         out2 = T.sum_axis(T.mul(x, x), 0)
         out2.backward()
         np.testing.assert_allclose(x.grad, 2 * once)
+
+    @staticmethod
+    def _graph():
+        """A loss over shared and branching interior nodes, and its leaves."""
+        rng = np.random.default_rng(21)
+        x, w, gain = (T.Tensor(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True)
+                      for shape in ((3, 4), (5, 4), (5,)))
+        h = T.linear(x, w)
+        y = T.rmsnorm(T.add(h, T.sigmoid(h)), gain)
+        loss = T.sum_axis(T.mean_axis(T.mul(y, h), 1), 0)
+        return loss, (x, w, gain)
+
+    @staticmethod
+    def _topo(node, seen=None, out=None):
+        """Interior nodes in the engine's sweep order, reversed: a post-order
+        walk that visits parents last to first, as its stack pops them."""
+        seen, out = (set(), []) if seen is None else (seen, out)
+        if node._backward is not None and id(node) not in seen:
+            seen.add(id(node))
+            for p in reversed(node._parents):
+                TestAutodiffEngine._topo(p, seen, out)
+            out.append(node)
+        return out
+
+    def test_only_leaves_keep_gradients(self):
+        loss, leaves = self._graph()
+        interior = self._topo(loss)
+        assert len(interior) == 7
+        loss.backward()
+        assert all(node.grad is None for node in interior)
+        assert all(t.grad is not None for t in leaves)
+        # the same sweep keeping every node's gradient, as the engine once did
+        kept, kept_leaves = self._graph()
+        kept.accumulate_grad(np.ones_like(kept.data))
+        for node in reversed(self._topo(kept)):
+            node._backward(node.grad)
+        for got, want in zip(leaves, kept_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_a_second_sweep_adds_to_the_leaves_again(self):
+        loss, leaves = self._graph()
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_allclose(t.grad, 2.0 * g, rtol=1e-12)
 
     def test_leaves_fed_one_gradient_stay_independent(self):
         # add hands the same array to both parents

@@ -1,6 +1,7 @@
 """Loss decomposition, optimizer behavior, and the three training phases."""
 
 import csv
+import dataclasses
 import functools
 import math
 
@@ -183,6 +184,43 @@ def test_verify_raises_on_non_finite_total():
     bd = TR.loss_total(logits, np.array([[0]]), None, None, (), 0.0, 0.0)
     with pytest.raises(NumericalError):
         bd.verify()
+
+
+def test_verify_accepts_float32_rounding_of_a_large_loss():
+    # large router weights put the float32 total near 40, where half an ulp
+    # (1.9e-6) is coarser than a fixed 1e-6 bound
+    config = M.ModelConfig(n_layers=4)
+    weights = M.init_model(config, np.random.default_rng(0))
+    train, val, _ = D.generate_dataset(D.TaskSpec(kind="copy", n_train=16, n_val=8, n_test=4))
+    bank = R.init_routers(config)
+    heavy = np.random.default_rng(1).normal(0.0, 4.0, config.d_model)
+    for router in bank.routers:
+        router.weight.data[:] = heavy
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=1, alpha=0.01)
+    result = TR.train_routers(config, weights, bank, train, val, tc)
+    assert result.steps == 2
+    assert all(row.reg > 2000 and row.total > 30 for row in result.rows)
+
+
+def test_verify_allows_float32_terms_in_a_float64_total():
+    # a float32 bank under a float64 model: reg and pp are scaled in float32
+    logits = T.Tensor(np.random.default_rng(2).normal(size=(1, 3, 5)))
+    heavy = np.random.default_rng(1).normal(0.0, 4.0, (2, 64)).astype(np.float32)
+    bank = R.RouterBank([R.Router(T.Tensor(w, requires_grad=True)) for w in heavy])
+    rhos = [T.Tensor(np.asarray(p, dtype=np.float32)) for p in (0.3, 0.7)]
+    bd = TR.loss_total(logits, np.array([[1, 2, 3]]), None, bank, rhos,
+                       lam=0.01, alpha_eff=0.3)
+    assert bd.total.dtype == np.float64 and bd.reg.dtype == np.float32
+    bd.verify()
+
+
+def test_verify_raises_when_the_total_is_off():
+    bd = TR.loss_total(T.Tensor(np.zeros((1, 2, 4), dtype=np.float32)),
+                       np.array([[1, 2]]), None, None, (), 0.01, 1.0)
+    bd.verify()
+    off = dataclasses.replace(bd, total=T.Tensor(bd.total.data + np.float32(1e-3)))
+    with pytest.raises(NumericalError, match="decomposition"):
+        off.verify()
 
 
 # ------------------------------------------------------------- csv log
