@@ -42,6 +42,22 @@ def _skip_list(text: str) -> frozenset:
         raise argparse.ArgumentTypeError(f"bad layer list {text!r}")
 
 
+def _count(least: int):
+    """An argparse type for an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+_positive, _non_negative = _count(1), _count(0)
+
+
 _SECTION_NAMES = {"weights": "model", "routers": "router", "adapters": "adapter"}
 
 
@@ -349,7 +365,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log", help="CSV training log")
     p.add_argument("--target-accuracy", type=float,
                    help="stop once validation exact-match reaches this")
-    p.add_argument("--max-new", type=int)
+    p.add_argument("--max-new", type=_positive)
 
     p = add("train-router", cmd_train_router, "phase 1: fit the skip routers")
     p.add_argument("--model", required=True)
@@ -377,16 +393,16 @@ def build_parser() -> _Parser:
                    help="fixed skip set, e.g. 3,8")
     p.add_argument("--full-prefill", action="store_true",
                    help="prefill every layer, skip during decode only")
-    p.add_argument("--max-new", type=int)
+    p.add_argument("--max-new", type=_positive)
 
     p = add("bench", cmd_bench, "measure decode time per token")
     p.add_argument("--model", required=True)
     p.add_argument("--routers")
     p.add_argument("--skip", type=_skip_list, default=frozenset())
     p.add_argument("--prompt")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--max-new", type=int)
+    p.add_argument("--runs", type=_positive, default=5)
+    p.add_argument("--warmup", type=_non_negative, default=2)
+    p.add_argument("--max-new", type=_positive)
     p.add_argument("--out", help="CSV latency report")
 
     p = add("oracle", cmd_oracle, "exhaustive layer-subsequence search")
@@ -394,8 +410,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--quality", choices=("golden", "dataset", "perplexity"),
                    default="golden")
-    p.add_argument("--max-prompts", type=int, default=8)
-    p.add_argument("--max-new", type=int)
+    p.add_argument("--max-prompts", type=_positive, default=8)
+    p.add_argument("--max-new", type=_positive)
     p.add_argument("--out", help="CSV with the Pareto front and winner")
 
     p = add("stats", cmd_stats, "aggregate per-prompt skip decisions")
@@ -403,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--routers")
     p.add_argument("--from-raw", help="re-aggregate a raw decision dump")
     p.add_argument("--dump", help="write the raw per-prompt decisions")
-    p.add_argument("--max-prompts", type=int, default=64)
+    p.add_argument("--max-prompts", type=_positive, default=64)
 
     p = add("compare", cmd_compare, "routed vs evenly spaced skipping")
     p.add_argument("--model", required=True)
@@ -412,10 +428,10 @@ def build_parser() -> _Parser:
     p.add_argument("--retained", type=int,
                    help="layers the spaced baseline keeps (default: match "
                         "the routed budget)")
-    p.add_argument("--max-prompts", type=int, default=16)
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--max-new", type=int)
+    p.add_argument("--max-prompts", type=_positive, default=16)
+    p.add_argument("--runs", type=_positive, default=5)
+    p.add_argument("--warmup", type=_non_negative, default=2)
+    p.add_argument("--max-new", type=_positive)
     p.add_argument("--out", help="CSV with quality and latency per method")
 
     return parser

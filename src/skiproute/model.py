@@ -128,6 +128,16 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
     )
 
 
+def _layer_set(config: ModelConfig, layers: Sequence[int]) -> frozenset[int]:
+    """``layers`` as a set of layer indices; one outside the model raises
+    ``ConfigError``."""
+    found = frozenset(int(i) for i in layers)
+    if found and (min(found) < 0 or max(found) >= config.n_layers):
+        raise ConfigError(f"skip set {sorted(found)} names a layer outside "
+                          f"0..{config.n_layers - 1}")
+    return found
+
+
 @lru_cache(maxsize=8)
 def _rope_tables(max_seq: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     inv = 10000.0 ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
@@ -141,9 +151,9 @@ class KVCache:
     Buffers are head-major, (batch, heads, max_seq, head_dim), so the
     filled prefix of every head is read as a view, and only that prefix is
     ever read, so the buffers start uninitialised. ``decode_skip`` is the
-    layer set this cache is bound to for decoding; every decode step must
-    present the same set. Layers the session never executes keep a filled
-    count of 0 and are never read.
+    layer set this cache is bound to for decoding, checked against the
+    model's layers; every decode step must present the same set. Layers
+    the session never executes keep a filled count of 0 and are never read.
     """
 
     def __init__(self, config: ModelConfig, batch_size: int = 1,
@@ -154,7 +164,7 @@ class KVCache:
         self.v = [np.empty(shape, dtype=dtype) for _ in range(config.n_layers)]
         self.filled = [0] * config.n_layers
         self.n_positions = 0
-        self.decode_skip = frozenset(int(i) for i in decode_skip)
+        self.decode_skip = _layer_set(config, decode_skip)
 
     def append(self, layer_index: int, k_rows: np.ndarray,
                v_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +312,8 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     With a cache, the block continues the session: positions pick up at
     ``cache.n_positions`` and executed layers append their K,V rows. With
     ``hidden``, the hidden state entering each executed layer is appended
-    to it as a Tensor (what the routers read at prefill). Under ``no_grad``
+    to it as a Tensor (what the routers read at prefill). A skip set naming
+    a layer the model lacks raises ``ConfigError``. Under ``no_grad``
     the whole pass runs on plain arrays. The attention mask is built and
     checked once and shared by every layer.
     """
@@ -313,7 +324,7 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     n = tokens.shape[1]
     if start + n > config.max_seq:
         raise ShapeError(f"sequence length {start + n} exceeds max_seq {config.max_seq}")
-    skip = frozenset(int(i) for i in skip_set)
+    skip = _layer_set(config, skip_set)
     positions = np.arange(start, start + n)
 
     ops = _ops()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -181,10 +182,13 @@ def _val_batches(pairs: Sequence[Pair], tc: TrainConfig,
 def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ...]]],
               val_ce: Callable[[], float], params: Sequence[Tensor],
               train_pairs: Sequence[Pair], tc: TrainConfig, config: ModelConfig,
-              stop_check: Optional[Callable[[], bool]]) -> TrainResult:
-    """Shared engine: accumulate, step, evaluate, stop on stale validation
-    or when ``stop_check``, run without a gradient right after each
-    validation, returns True."""
+              stop_check: Optional[Callable[[], bool]],
+              check_each_step: bool = False) -> TrainResult:
+    """Shared engine: accumulate, step, validate every ``tc.eval_every``
+    optimizer steps and once when the run ends, stop on stale validation or
+    when ``stop_check`` returns True. ``stop_check`` runs without a gradient
+    right after each validation, or, with ``check_each_step``, after every
+    optimizer step instead."""
     if not train_pairs:
         raise DatasetError("training set is empty")
     opt = Adam(params)
@@ -201,6 +205,11 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
     best_val = math.inf
     stale = 0
     stopped = False
+
+    def check() -> None:
+        nonlocal stopped
+        with T.no_grad():
+            stopped = bool(stop_check()) or stopped
 
     def evaluate() -> None:
         nonlocal best_val, stale, stopped, window_n
@@ -222,9 +231,8 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
             stale += 1
             if stale >= tc.patience:
                 stopped = True
-        if stop_check is not None:
-            with T.no_grad():
-                stopped = bool(stop_check()) or stopped
+        if stop_check is not None and not check_each_step:
+            check()
 
     for _ in range(tc.max_epochs):
         for batch in iter_minibatches(train_pairs, tc.batch_size, shuffle_rng,
@@ -242,11 +250,14 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
                 opt_steps += 1
                 if opt_steps % tc.eval_every == 0:
                     evaluate()
-                    if stopped:
-                        break
+                if stop_check is not None and check_each_step:
+                    check()
+                if stopped:
+                    break
         if stopped:
             break
-    if not stopped and (not rows or rows[-1].step != opt_steps):
+    # a stop between validations still ends on a validated row
+    if not rows or rows[-1].step != opt_steps:
         evaluate()
     return TrainResult(rows=rows, steps=opt_steps, stopped_early=stopped,
                        best_val_ce=best_val)
@@ -275,10 +286,12 @@ def _train_phase(config: ModelConfig, weights: ModelWeights,
                  alpha_eff: float, train_pairs: Sequence[Pair],
                  val_pairs: Sequence[Pair], tc: TrainConfig,
                  log_path: Optional[str],
-                 stop_check: Optional[Callable[[], bool]] = None) -> TrainResult:
+                 stop_check: Optional[Callable[[], bool]] = None,
+                 check_each_step: bool = False) -> TrainResult:
     """One phase: ``trained`` (the model, the bank or the adapters) learns on
     ``loss_total`` with all else frozen. ``forward(batch, training)`` gives
-    the logits and the per-layer rho tensors (none without routers)."""
+    the logits and the per-layer rho tensors (none without routers).
+    ``stop_check`` and ``check_each_step`` are as in ``_run_loop``."""
     weights.set_requires_grad(False)
     if routers is not None:
         routers.set_requires_grad(False)
@@ -297,7 +310,7 @@ def _train_phase(config: ModelConfig, weights: ModelWeights,
 
     try:
         result = _run_loop(batch_loss, val_ce, list(trained.parameters()),
-                           train_pairs, tc, config, stop_check)
+                           train_pairs, tc, config, stop_check, check_each_step)
     finally:
         trained.set_requires_grad(False)
     if log_path:
@@ -373,22 +386,33 @@ def train_lora(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
                         train_pairs, val_pairs, tc, log_path)
 
 
-def _layer_inputs(config: ModelConfig, weights: ModelWeights,
-                  pairs: Sequence[Pair], max_seq: Optional[int],
+def _layer_inputs(config: ModelConfig, weights: ModelWeights, batch: Batch,
                   project=None) -> tuple[np.ndarray, list[Tensor]]:
-    """Run ``pairs`` as one right-padded batch without a gradient.
+    """Run ``batch`` as one right-padded block without a gradient.
 
     Returns the prompt mask and the hidden state entering each layer, over
-    every column but the last (the teacher-forcing input). ``max_seq``
-    bounds the framed pair as ``encode_batch`` does; None leaves the input
-    width to ``forward_full``'s own check.
+    every column but the last (the teacher-forcing input).
     """
-    batch = encode_batch(pairs, max_seq)
     hs: list[Tensor] = []
     with T.no_grad():
         M.forward_full(config, weights, batch.tokens[:, :-1],
                        attn_mask=batch.attn[:, :-1], project=project, hidden=hs)
     return batch.prompt_mask[:, :-1], hs
+
+
+def _probe_key(config: ModelConfig, weights: ModelWeights, batch: Batch) -> bytes:
+    """SHA-256 over everything the probe's forward reads: the config, each
+    parameter's dtype, shape and bytes, and the encoded prompts."""
+    h = hashlib.sha256(repr(config).encode())
+    for a in [p.data for p in weights.parameters()] + [
+            batch.tokens, batch.attn, batch.prompt_mask]:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+# the layer inputs of the last probe without adapters, under its _probe_key
+_probe_memo: dict[bytes, tuple[np.ndarray, list[Tensor]]] = {}
 
 
 def probe_decisions(config: ModelConfig, weights: ModelWeights,
@@ -402,6 +426,14 @@ def probe_decisions(config: ModelConfig, weights: ModelWeights,
     thresholds that prompt alone; only the float rounding of the padded
     batch differs. A framed prompt of up to ``config.max_seq`` tokens is
     accepted, as in ``R.prefill``; a longer one raises ``ShapeError``.
+
+    The layer inputs depend only on the model and the prompts, not on the
+    routers, so the last probe's are kept (read-only) under a SHA-256 digest
+    of the config, every parameter's dtype, shape and bytes, and the encoded
+    prompts. A probe whose digest matches reuses them and runs no forward;
+    any change to a weight, in place or not, or to the prompts recomputes
+    them. A probe through ``project`` (adapters, which may change between
+    calls) always runs its forward and leaves the memo alone.
     """
     if not pairs:
         raise DatasetError("need at least one probe pair")
@@ -409,8 +441,18 @@ def probe_decisions(config: ModelConfig, weights: ModelWeights,
         raise ConfigError(f"{len(routers)} routers for {config.n_layers} layers")
     # no width limit here: the EOS column encode_batch appends is dropped
     # before the forward, which checks the prompt width itself
-    pmask, hs = _layer_inputs(config, weights, [(p, b"") for p, _ in pairs],
-                              None, project)
+    batch = encode_batch([(p, b"") for p, _ in pairs], None)
+    if project is not None:
+        pmask, hs = _layer_inputs(config, weights, batch, project)
+    else:
+        key = _probe_key(config, weights, batch)
+        if key not in _probe_memo:
+            pmask, hs = _layer_inputs(config, weights, batch)
+            for h in hs:
+                h.data.flags.writeable = False
+            _probe_memo.clear()
+            _probe_memo[key] = pmask, hs
+        pmask, hs = _probe_memo[key]
     rhos = np.stack([R.router_probability(r, h, pmask).data
                      for r, h in zip(routers.routers, hs)], axis=1)
     return [R.SkipDecision.from_rhos(row) for row in rhos]
@@ -420,7 +462,8 @@ def measure_skip_fraction(config: ModelConfig, weights: ModelWeights,
                           routers: RouterBank, pairs: Sequence[Pair],
                           project=None) -> float:
     """Mean fraction of layers the frozen prefill decision drops over pairs,
-    from one padded forward (``probe_decisions``)."""
+    from one padded forward (``probe_decisions``), or none when the model
+    and the prompts are those of the last probe without adapters."""
     decisions = probe_decisions(config, weights, routers, pairs, project)
     return sum(d.skip_fraction for d in decisions) / len(decisions)
 
@@ -431,7 +474,7 @@ def mean_hidden_per_layer(config: ModelConfig, weights: ModelWeights,
     state entering the layer, averaged again over a calibration set."""
     if not pairs:
         raise DatasetError("need at least one calibration pair")
-    pmask, hs = _layer_inputs(config, weights, pairs, max_seq)
+    pmask, hs = _layer_inputs(config, weights, encode_batch(pairs, max_seq))
     pmask = pmask.astype(np.float64)
     counts = np.maximum(pmask.sum(axis=1), 1.0)[:, None]
     return np.stack([((h.data * pmask[:, :, None]).sum(axis=1) / counts).mean(axis=0)
@@ -450,14 +493,15 @@ def warm_start_routers(config: ModelConfig, weights: ModelWeights,
     probabilities to roughly ``sigmoid(target_logit)``, so the skip penalty
     must carry a layer across the threshold against whatever gradient the
     data provides, one layer at a time. Weight norms are capped so layers
-    with faint inputs do not start with outsized vectors.
+    with faint inputs do not start with outsized vectors. The bank takes the
+    model's dtype.
     """
     if target_logit <= 0.0:
         raise ConfigError(f"target logit must be positive, got {target_logit}")
     if norm_cap <= 0.0:
         raise ConfigError(f"norm cap must be positive, got {norm_cap}")
     means = mean_hidden_per_layer(config, weights, pairs, max_seq)
-    routers = R.init_routers(config)
+    routers = R.init_routers(config, dtype=weights.embedding.dtype)
     for i in range(config.n_layers):
         norm = float(np.linalg.norm(means[i]))
         if norm == 0.0:
@@ -489,13 +533,22 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
     The skip penalty pushes routers downward at a rate the optimizer largely
     normalizes away, so a moderate budget is a point the training trajectory
     passes through rather than an equilibrium the loss settles at. Each
-    attempt starts from a calibrated warm start (every probability decisively
-    above the pass threshold), trains under the usual Phase 1 loss, and
-    probes the frozen prefill decision on ``probe_pairs`` after every
-    optimizer step, stopping the moment the mean skip fraction reaches the
-    lower band edge. An attempt that lands past the upper edge jumped the
-    band between probes and is retried from scratch at half the learning
-    rate; one that never reaches the band gets its epoch budget doubled.
+    attempt starts from the same calibrated warm start (every probability
+    decisively above the pass threshold, built once per call), trains under
+    the usual Phase 1 loss, and probes the frozen prefill decision on
+    ``probe_pairs`` after every optimizer step, stopping the moment the mean
+    skip fraction reaches the lower band edge. An attempt that lands past
+    the upper edge jumped the band between probes and is retried from
+    scratch at half the learning rate; one that never reaches the band gets
+    its epoch budget doubled.
+
+    The base model is frozen, so every probe after the first reuses the
+    probe prompts' layer inputs (see ``probe_decisions``) and costs only the
+    routers' dot products. Validation cannot steer an attempt, so it runs
+    once, when the attempt ends: the attempt's log (``log_path``, rewritten
+    by each attempt) and ``train.rows`` hold one row, its losses and rho
+    averaged over all of its steps, and ``train.best_val_ce`` is that row's
+    validation loss.
     """
     lo, hi = band
     if not 0.0 <= lo < hi <= 1.0:
@@ -503,20 +556,23 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
     if max_attempts < 1:
         raise ConfigError("need at least one attempt")
 
+    warm = warm_start_routers(config, weights, train_pairs, config.max_seq)
     lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
     for attempt in range(1, max_attempts + 1):
-        routers = warm_start_routers(config, weights, train_pairs,
-                                     config.max_seq)
+        routers = RouterBank([R.Router(Tensor(r.weight.data.copy()))
+                              for r in warm.routers])
+        # validation only when the attempt ends
         tc_try = replace(tc, lr_min=lr_min, lr_max=lr_max, max_epochs=epochs,
-                         eval_every=1, patience=10 ** 9)
+                         eval_every=10 ** 9)
 
         def reached_band() -> bool:
             return measure_skip_fraction(config, weights, routers,
                                          probe_pairs) >= lo
 
-        result = train_routers(config, weights, routers, train_pairs,
-                               val_pairs, tc_try, log_path=log_path,
-                               stop_check=reached_band)
+        result = _train_phase(config, weights, routers, routers,
+                              _soft_forward(config, weights, routers), tc.alpha,
+                              train_pairs, val_pairs, tc_try, log_path,
+                              stop_check=reached_band, check_each_step=True)
         fraction = measure_skip_fraction(config, weights, routers, probe_pairs)
         if lo <= fraction <= hi:
             return BandTuneResult(routers=routers, train=result,

@@ -294,6 +294,36 @@ def test_usage_errors_exit_one(workdir):
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--routers", "routers", "--max-prompts", "0"],
+    ["stats", "--routers", "routers", "--max-prompts", "-60"],
+    ["bench", "--runs", "0"],
+    ["bench", "--warmup", "-1"],
+    ["infer", "--prompt", "x", "--max-new", "0"],
+    ["oracle", "--max-prompts", "2.5"],
+])
+def test_bad_counts_are_usage_errors(workdir, capsys, argv):
+    argv = [workdir.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv[:1] + ["--config", workdir["cfg"], "--model", workdir["pre"]]
+             + argv[1:])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--prompt", "x", "--skip", "99"],
+    ["infer", "--prompt", "x", "--skip=-1"],
+    ["bench", "--skip", "40"],
+])
+def test_skip_sets_outside_the_model_exit_two(workdir, capsys, argv):
+    assert main(argv[:1] + ["--config", workdir["cfg"], "--model", workdir["pre"]]
+                + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "outside 0..1" in err and "Traceback" not in err
+
+
 def test_data_errors_exit_two(workdir, tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     assert main(["infer", "--config", workdir["cfg"], "--model", missing,

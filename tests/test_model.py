@@ -142,6 +142,14 @@ class TestForwardFull:
         with pytest.raises(ShapeError):
             M.forward_full(cfg, w, tokens_for(cfg, 9))
 
+    @pytest.mark.parametrize("skip", [{3}, {-1}, {0, 99}])
+    def test_skip_set_outside_the_model_raises(self, skip):
+        cfg, w = tiny_model(m=3)
+        with pytest.raises(ConfigError, match="outside 0..2"):
+            M.forward_full(cfg, w, tokens_for(cfg, 4), skip_set=skip)
+        with pytest.raises(ConfigError, match="outside 0..2"):
+            M.KVCache(cfg, decode_skip=skip)
+
     @pytest.mark.parametrize("grad", [False, True])
     def test_fully_masked_attention_row_raises(self, grad):
         # the first query reads only itself; masking it leaves that row empty
@@ -335,6 +343,15 @@ class TestGenerate:
         cfg, w = tiny_model()
         with pytest.raises(ShapeError):
             M.generate(cfg, w, [], max_new_tokens=2)
+
+    @pytest.mark.parametrize("prefill_skip", [None, ()])
+    def test_skip_set_outside_the_model(self, prefill_skip):
+        cfg, w = tiny_model()
+        with pytest.raises(ConfigError):
+            M.generate(cfg, w, [1, 2], 3, skip_set={99},
+                       prefill_skip=prefill_skip)
+        with pytest.raises(ConfigError):
+            M.generate(cfg, w, [1, 2], 3, prefill_skip={-1})
 
 
 class TestTrainingPath:

@@ -597,6 +597,10 @@ def test_probe_matches_sequential_prefill(model, kind, adapted):
 
 def test_probe_runs_each_layer_once(monkeypatch):
     config, weights, prompts = probe_model("default32")
+    # probe other prompts first, so the counted probe is not served by the
+    # memo whatever the tests before this one probed
+    TR.measure_skip_fraction(config, weights, R.init_routers(config),
+                             [(prompts[0], b"")])
     calls = []
     real = M.layer_branch
 
@@ -718,3 +722,194 @@ def test_tune_routers_unreachable_band_raises():
     with pytest.raises(ConfigError, match="missed the skip band"):
         TR.tune_routers_to_band(config, weights, train, val, tc, val,
                                 band=(0.99, 1.0), max_attempts=1)
+
+
+def _tuning_rig():
+    """A four-layer rig whose tuning needs four attempts: the first and
+    third end below the band, the second jumps past it, the fourth lands
+    in (0.2, 0.3)."""
+    config = tiny_config(n_layers=4)
+    weights = M.init_model(config, np.random.default_rng(0))
+    train, val, _ = D.generate_dataset(D.TaskSpec(
+        kind="copy", min_len=3, max_len=4, n_train=16, n_val=4, n_test=4,
+        seed=0))
+    tc = TR.TrainConfig(batch_size=8, accum_steps=1, max_epochs=4, alpha=0.5,
+                        lr_min=0.1, lr_max=0.1)
+    return config, weights, train, val, tc
+
+
+def _tune_validating_every_step(config, weights, train, val, tc, band,
+                                max_attempts):
+    """Band tuning as a plain router run: a fresh warm start per attempt,
+    validation after every step and the band probe right after it."""
+    lo, hi = band
+    lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
+    for attempt in range(1, max_attempts + 1):
+        bank = TR.warm_start_routers(config, weights, train, config.max_seq)
+        tc_try = dataclasses.replace(tc, lr_min=lr_min, lr_max=lr_max,
+                                     max_epochs=epochs, eval_every=1,
+                                     patience=10 ** 9)
+        result = TR.train_routers(
+            config, weights, bank, train, val, tc_try,
+            stop_check=lambda: TR.measure_skip_fraction(
+                config, weights, bank, val) >= lo)
+        fraction = TR.measure_skip_fraction(config, weights, bank, val)
+        if lo <= fraction <= hi:
+            return bank, result, fraction, attempt
+        if fraction > hi:
+            lr_min, lr_max = lr_min / 2, lr_max / 2
+        else:
+            epochs *= 2
+    raise AssertionError("the reference missed the band")
+
+
+def test_tuned_routers_match_a_run_that_validates_every_step(monkeypatch):
+    config, weights, train, val, tc = _tuning_rig()
+    band = (0.2, 0.3)
+    bank, ref, fraction, attempts = _tune_validating_every_step(
+        config, weights, train, val, tc, band, max_attempts=4)
+
+    validations = []
+    mean_val_ce = TR._mean_val_ce
+
+    def counted_val(*args):
+        validations.append(1)
+        return mean_val_ce(*args)
+
+    monkeypatch.setattr(TR, "_mean_val_ce", counted_val)
+    tuned = TR.tune_routers_to_band(config, weights, train, val, tc, val,
+                                    band=band, max_attempts=4)
+    assert (tuned.attempts, tuned.skip_fraction) == (attempts, fraction)
+    assert attempts > 1
+    assert [r.weight.data.tobytes() for r in tuned.routers] == \
+        [r.weight.data.tobytes() for r in bank]
+    assert all(r.weight.dtype == np.float32 for r in tuned.routers)
+    assert len(validations) == attempts  # one per attempt, not per step
+
+    # one row per attempt: its losses averaged over the attempt's steps, and
+    # the validation the reference ran at the same step
+    res = tuned.train
+    assert (res.steps, res.stopped_early) == (ref.steps, ref.stopped_early)
+    assert len(res.rows) == 1 and res.rows[0].step == res.steps
+    row, last = res.rows[0], ref.rows[-1]
+    assert row.val_ce == last.val_ce == res.best_val_ce
+    for name in ("ce", "reg", "pp", "total"):
+        assert getattr(row, name) == pytest.approx(
+            np.mean([getattr(r, name) for r in ref.rows]), rel=1e-12)
+    np.testing.assert_allclose(
+        row.mean_rho, np.mean([r.mean_rho for r in ref.rows], axis=0),
+        rtol=1e-12)
+
+
+def test_an_attempt_the_stop_check_ends_is_still_validated(tmp_path):
+    config, weights, train, val, tc = _tuning_rig()
+    log = tmp_path / "tune.csv"
+    tuned = TR.tune_routers_to_band(config, weights, train, val, tc, val,
+                                    band=(0.0, 1.0), log_path=str(log))
+    assert tuned.attempts == 1 and tuned.train.steps == 1
+    assert tuned.train.stopped_early
+    [row] = tuned.train.rows
+    assert row.step == 1 and math.isfinite(row.val_ce)
+    with open(log) as fh:
+        assert len(list(csv.reader(fh))) == 2  # header and the attempt's row
+
+
+# ------------------------------------------------------- the probe's memo
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    real = M.forward_full
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_full", counted)
+    return calls
+
+
+def _memo_rig(seed, dtype=np.float32):
+    config = tiny_config(n_layers=3)
+    weights = M.init_model(config, np.random.default_rng([11, seed]), dtype=dtype)
+    _, val, test = copy_pairs(8, seed=seed)
+    bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+    return config, weights, bank, val, test
+
+
+def test_a_repeated_probe_runs_no_forward(monkeypatch):
+    config, weights, bank, val, test = _memo_rig(1)
+    calls = _counting_forward(monkeypatch)
+    first = TR.probe_decisions(config, weights, bank, val)
+    assert len(calls) == 1
+    other = R.RouterBank([R.Router(T.Tensor(-r.weight.data)) for r in bank])
+    again = TR.probe_decisions(config, weights, bank, val)
+    flipped = TR.probe_decisions(config, weights, other, val)
+    assert len(calls) == 1
+    assert again == first
+
+    TR.probe_decisions(config, weights, bank, test)  # other prompts
+    assert len(calls) == 2
+    fresh = TR.probe_decisions(config, weights, other, val)
+    assert len(calls) == 3
+    assert flipped == fresh  # bit for bit: rho are compared exactly
+
+
+def test_any_weight_change_forces_a_recompute(monkeypatch):
+    config, weights, bank, val, _ = _memo_rig(2)
+    calls = _counting_forward(monkeypatch)
+    TR.probe_decisions(config, weights, bank, val)
+    params = list(weights.parameters())
+    # one Adam step on one parameter
+    params[3].grad = np.ones_like(params[3].data)
+    TR.Adam([params[3]]).step(1e-3)
+    TR.probe_decisions(config, weights, bank, val)
+    assert len(calls) == 2
+    for k, p in enumerate(params):
+        p.data[0] += 1
+        TR.probe_decisions(config, weights, bank, val)
+        assert len(calls) == 3 + k
+
+
+def test_dtype_and_adapters_force_a_recompute(monkeypatch):
+    config, weights, bank, val, _ = _memo_rig(3)
+    _, wide, *_ = _memo_rig(3, dtype=np.float64)  # the same draws, unrounded
+    calls = _counting_forward(monkeypatch)
+    TR.probe_decisions(config, weights, bank, val)
+    TR.probe_decisions(config, wide, bank, val)
+    assert len(calls) == 2
+
+    project = L.adapted_project(
+        L.init_adapters(wide, rank=2, rng=np.random.default_rng(2)))
+    TR.probe_decisions(config, wide, bank, val, project=project)
+    TR.probe_decisions(config, wide, bank, val, project=project)
+    assert len(calls) == 4
+    TR.probe_decisions(config, wide, bank, val)  # adapted probes left the memo
+    assert len(calls) == 4
+
+
+def test_memoized_layer_inputs_are_read_only(monkeypatch):
+    config, weights, bank, val, _ = _memo_rig(4)
+    seen = []
+    real = R.router_probability
+
+    def recording(router, hidden, mask=None):
+        seen.append(hidden)
+        return real(router, hidden, mask)
+
+    monkeypatch.setattr(R, "router_probability", recording)
+    TR.probe_decisions(config, weights, bank, val)
+    TR.probe_decisions(config, weights, bank, val)
+    assert len(seen) == 2 * config.n_layers
+    for h in seen:
+        with pytest.raises(ValueError):
+            h.data[0, 0, 0] = 0.0
+
+
+def test_warm_start_takes_the_model_dtype():
+    config = tiny_config()
+    _, val, _ = copy_pairs(8, seed=0)
+    for dtype in (np.float32, np.float64):
+        weights = M.init_model(config, np.random.default_rng(0), dtype=dtype)
+        bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+        assert all(r.weight.dtype == dtype for r in bank)
