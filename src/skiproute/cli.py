@@ -58,6 +58,21 @@ def _count(least: int):
 _positive, _non_negative = _count(1), _count(0)
 
 
+def _band(text: str) -> tuple[float, float]:
+    """An argparse type for a skip band ``lo,hi`` with 0 <= lo < hi <= 1."""
+    try:
+        lo, hi = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a band lo,hi: {text!r}")
+    if not 0.0 <= lo < hi <= 1.0:
+        raise argparse.ArgumentTypeError(f"band must satisfy 0 <= lo < hi <= 1, "
+                                         f"got {text!r}")
+    return lo, hi
+
+
+# validation prompts the band probe reads, as in the quality-retention check
+_BAND_PROBE_PROMPTS = 24
+
 _SECTION_NAMES = {"weights": "model", "routers": "router", "adapters": "adapter"}
 
 
@@ -117,10 +132,20 @@ def cmd_train_router(args) -> int:
     exp = load_experiment(args.config)
     weights = _load(args.model, "weights")
     tc = exp.train if args.alpha is None else replace(exp.train, alpha=args.alpha)
-    routers = R.init_routers(weights.config)
     train, val, _ = generate_dataset(exp.task)
-    result = TR.train_routers(weights.config, weights, routers, train, val, tc,
-                              log_path=args.log)
+    if args.band is not None:
+        probe = val[:_BAND_PROBE_PROMPTS]
+        tuned = TR.tune_routers_to_band(weights.config, weights, train, val, tc,
+                                        probe_pairs=probe, band=args.band,
+                                        log_path=args.log)
+        routers, result = tuned.routers, tuned.train
+        print(f"tuned into band {args.band[0]:g}-{args.band[1]:g} in "
+              f"{tuned.attempts} attempt(s): skip fraction "
+              f"{tuned.skip_fraction:.4f} on {len(probe)} validation prompts")
+    else:
+        routers = R.init_routers(weights.config)
+        result = TR.train_routers(weights.config, weights, routers, train, val, tc,
+                                  log_path=args.log)
     save_bundle(args.out, routers=routers)
     rho = result.rows[-1].mean_rho if result.rows else ()
     print(f"trained routers for {result.steps} steps, "
@@ -253,6 +278,9 @@ def cmd_stats(args) -> int:
         print(f"layer {i}: skipped {f:.4f}")
     print(f"average: {stats.average_skip_fraction:.4f} "
           f"over {stats.n_prompts} prompts, min margin {stats.margin_min:.3g}")
+    q1, q2, q3 = stats.margin_quartiles
+    print(f"distinct skip sets: {stats.n_skip_sets}, "
+          f"margin quartiles {q1:.3g} / {q2:.3g} / {q3:.3g}")
     return 0
 
 
@@ -372,6 +400,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.add_argument("--alpha", type=float, help="override the skip pressure")
+    p.add_argument("--band", type=_band,
+                   help="warm-start the routers and tune them until the skip "
+                        "fraction probed on the validation split lands in "
+                        "lo,hi, e.g. 0.15,0.25")
 
     p = add("train-lora", cmd_train_lora, "phase 2: fit low-rank compensation")
     p.add_argument("--model", required=True)

@@ -67,6 +67,10 @@ class SkipStats:
     average_skip_fraction: float
     # the smallest decision margin min |rho - 0.5| over every prompt
     margin_min: float
+    # how many different skip sets the prompts chose
+    n_skip_sets: int
+    # 25th, 50th and 75th percentiles of the per-prompt decision margin
+    margin_quartiles: tuple[float, float, float]
 
 
 def collect_skip_stats(decisions: Sequence[SkipDecision]) -> SkipStats:
@@ -78,10 +82,14 @@ def collect_skip_stats(decisions: Sequence[SkipDecision]) -> SkipStats:
             raise ShapeError("decisions disagree on the layer count")
     skipped = np.array([[not p for p in d.passed] for d in decisions], dtype=np.float64)
     fractions = skipped.mean(axis=0)
+    margins = [d.margin for d in decisions]
     return SkipStats(n_layers=n_layers, n_prompts=len(decisions),
                      layer_skip_fraction=tuple(float(f) for f in fractions),
                      average_skip_fraction=float(fractions.mean()),
-                     margin_min=min(d.margin for d in decisions))
+                     margin_min=min(margins),
+                     n_skip_sets=len({d.passed for d in decisions}),
+                     margin_quartiles=tuple(
+                         float(q) for q in np.percentile(margins, (25, 50, 75))))
 
 
 def write_decision_log(path: str, decisions: Sequence[SkipDecision]) -> None:

@@ -140,9 +140,29 @@ def _layer_set(config: ModelConfig, layers: Sequence[int]) -> frozenset[int]:
 
 @lru_cache(maxsize=8)
 def _rope_tables(max_seq: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (max_seq, head_dim) rotary tables in the interleaved form
+    ``tensor.rope`` takes: ``cos`` repeats each pair's float32 cosine and
+    ``sin`` holds the pair (-sin, +sin) of its float32 sine."""
     inv = 10000.0 ** (-np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
     angles = np.outer(np.arange(max_seq, dtype=np.float64), inv)
-    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    cos = np.cos(angles).astype(np.float32)
+    sin = np.sin(angles).astype(np.float32)
+    tables = (np.repeat(cos, 2, axis=1),
+              np.stack([-sin, sin], axis=-1).reshape(max_seq, head_dim))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _rope_rows(config: ModelConfig, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The rotary table rows of ``positions``, gathered; a position outside
+    ``0..max_seq-1`` raises ``ShapeError``."""
+    positions = np.asarray(positions)
+    if positions.size and (positions.min() < 0 or positions.max() >= config.max_seq):
+        raise ShapeError(f"positions {positions.min()}..{positions.max()} outside "
+                         f"0..{config.max_seq - 1}")
+    cos_t, sin_t = _rope_tables(config.max_seq, config.head_dim)
+    return cos_t[positions], sin_t[positions]
 
 
 class KVCache:
@@ -212,13 +232,11 @@ def attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
 
 
 def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
-               mask: Optional[np.ndarray], positions: np.ndarray,
+               mask: Optional[np.ndarray], rows: tuple[np.ndarray, np.ndarray],
                cache: Optional[KVCache], layer_index: int, project):
     b, n, d = x.shape
     h, hd = config.n_heads, config.head_dim
-
-    cos_t, sin_t = _rope_tables(config.max_seq, hd)
-    cos, sin = cos_t[positions], sin_t[positions]
+    cos, sin = rows
 
     def heads(t):  # (b, n, d) -> (b, h, n, hd)
         return ops.transpose(ops.reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
@@ -249,15 +267,18 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
                  x, attn_mask: Optional[np.ndarray] = None,
                  cache: Optional[KVCache] = None,
                  positions: Optional[np.ndarray] = None,
-                 project=None, mask: Optional[np.ndarray] = None):
+                 project=None, mask: Optional[np.ndarray] = None,
+                 rows: Optional[tuple[np.ndarray, np.ndarray]] = None):
     """The layer's residual contribution: attention delta plus FFN delta.
 
     ``project(ops, x, w, layer_index, name)`` lets callers wrap every weight
     application (low-rank adapters); it defaults to ``ops.linear(x, w)``.
 
-    ``mask`` is the ``attention_mask`` of ``attn_mask`` for this block: a
-    pass over many layers builds it once and hands it to each. When None,
-    the layer builds it from ``attn_mask``.
+    ``mask`` is the ``attention_mask`` of ``attn_mask`` for this block and
+    ``rows`` the rotary table rows of ``positions`` (``_rope_rows``): a
+    pass over many layers builds both once and hands them to each. When
+    None, the layer builds them itself; a position outside
+    ``0..max_seq-1`` then raises ``ShapeError``.
 
     ``x`` is a Tensor or an ndarray. The layer runs over ``_ops()``: in
     grad mode on the tape, returning a Tensor; under ``no_grad`` on plain
@@ -274,12 +295,13 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
             f"cache holds {past} rows")
     if mask is None:
         mask = attention_mask(attn_mask, x.shape[0], x.shape[1], past + x.shape[1])
+    if rows is None:
+        rows = _rope_rows(config, positions)
     lw = weights.layers[layer_index]
-    positions = np.asarray(positions)
     ops = _ops()
     x = ops.lift(x)
     a = _attention(ops, config, lw, ops.rmsnorm(x, lw.attn_norm), mask,
-                   positions, cache, layer_index, project)
+                   rows, cache, layer_index, project)
     f = _ffn(ops, lw, ops.rmsnorm(ops.add(x, a), lw.ffn_norm), layer_index, project)
     return ops.add(a, f)
 
@@ -288,11 +310,12 @@ def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                   x, attn_mask: Optional[np.ndarray] = None,
                   cache: Optional[KVCache] = None,
                   positions: Optional[np.ndarray] = None,
-                  project=None, mask: Optional[np.ndarray] = None) -> Tensor:
+                  project=None, mask: Optional[np.ndarray] = None,
+                  rows: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
     """Residual-added layer output, as a Tensor."""
     ops = _ops()
     branch = layer_branch(config, weights, layer_index, x,
-                          attn_mask, cache, positions, project, mask)
+                          attn_mask, cache, positions, project, mask, rows)
     return T.lift(ops.add(ops.lift(x), branch))
 
 
@@ -315,7 +338,9 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     to it as a Tensor (what the routers read at prefill). A skip set naming
     a layer the model lacks raises ``ConfigError``. Under ``no_grad``
     the whole pass runs on plain arrays. The attention mask is built and
-    checked once and shared by every layer.
+    checked once and shared by every layer, and so are the rotary table
+    rows: the block's positions are one range checked against ``max_seq``,
+    so its rows are slices of the tables.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -326,6 +351,8 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
         raise ShapeError(f"sequence length {start + n} exceeds max_seq {config.max_seq}")
     skip = _layer_set(config, skip_set)
     positions = np.arange(start, start + n)
+    rows = tuple(t[start:start + n] for t in _rope_tables(config.max_seq,
+                                                          config.head_dim))
 
     ops = _ops()
     h = ops.embedding(weights.embedding, tokens)
@@ -336,7 +363,7 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
         if hidden is not None:
             hidden.append(T.lift(h))
         h = ops.add(h, layer_branch(config, weights, i, h, attn_mask, cache,
-                                    positions, project, mask))
+                                    positions, project, mask, rows))
     if cache is not None:
         cache.n_positions += n
     return T.lift(_finish(weights, h))

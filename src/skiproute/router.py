@@ -118,11 +118,14 @@ def unify_batch(rhos: Tensor) -> Tensor:
 def soft_layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                        hidden: Tensor, rho: Tensor,
                        attn_mask: Optional[np.ndarray] = None,
-                       project=None, mask: Optional[np.ndarray] = None) -> Tensor:
+                       project=None, mask: Optional[np.ndarray] = None,
+                       rows: Optional[tuple[np.ndarray, np.ndarray]] = None
+                       ) -> Tensor:
     """hidden + rho * branch: exact layer at rho=1, exact identity at rho=0.
-    ``mask`` is the prebuilt attention mask, as for ``M.layer_branch``."""
+    ``mask`` and ``rows`` are the prebuilt attention mask and rotary table
+    rows, as for ``M.layer_branch``."""
     branch = T.lift(M.layer_branch(config, weights, layer_index, hidden, attn_mask,
-                                   project=project, mask=mask))
+                                   project=project, mask=mask, rows=rows))
     return T.add(hidden, T.mul(rho, branch))
 
 
@@ -147,11 +150,13 @@ def soft_forward(config: ModelConfig, weights: ModelWeights, routers: RouterBank
     h = T.embedding(weights.embedding, tokens)
     b, n = tokens.shape
     mask = M.attention_mask(attn_mask, b, n, n)
+    rows = M._rope_rows(config, np.arange(n))
     rhos: list[Tensor] = []
     for i in range(config.n_layers):
         rho = unify_batch(router_probability(routers[i], h, router_mask))
         rhos.append(rho)
-        h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project, mask)
+        h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project,
+                               mask, rows)
     return T.lift(M._finish(weights, h)), rhos
 
 

@@ -278,14 +278,23 @@ def rmsnorm_fwd(d: np.ndarray, gain: np.ndarray,
     return d / r * gain, r
 
 
+def _swap_pairs(d: np.ndarray) -> np.ndarray:
+    """A new buffer in ``d``'s layout with the two entries of each pair of
+    the last axis exchanged."""
+    s = np.empty_like(d)
+    s[..., 0::2] = d[..., 1::2]
+    s[..., 1::2] = d[..., 0::2]
+    return s
+
+
 def rope_fwd(d: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """``d * cos + swap_pairs(d) * sin`` over interleaved tables (see ``rope``)."""
     if d.shape[-1] % 2 != 0:
         raise ShapeError(f"rope needs an even last axis, got {d.shape}")
-    x1 = d[..., 0::2]
-    x2 = d[..., 1::2]
-    out = np.empty_like(d)
-    np.subtract(x1 * cos, x2 * sin, out=out[..., 0::2])
-    np.add(x1 * sin, x2 * cos, out=out[..., 1::2])
+    out = np.multiply(d, cos, out=np.empty_like(d))
+    s = _swap_pairs(d)
+    s *= sin
+    out += s
     return out
 
 
@@ -611,18 +620,22 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate interleaved pairs of the last axis by per-position angles.
 
-    ``cos``/``sin`` have shape (n, last/2) and broadcast over leading axes.
-    Backward applies the inverse rotation to the incoming gradient.
+    ``cos``/``sin`` have shape (n, last) and broadcast over leading axes:
+    ``cos`` repeats each pair's cosine, ``sin`` holds (-sin, +sin) per pair.
+    A pair (x1, x2) becomes (x1*c + x2*(-s), x2*c + x1*s), the same two
+    rounded products per entry as ``x1*c - x2*s`` and ``x1*s + x2*c``,
+    summed in another order or with a negated operand, so every bit
+    matches the half-width form. Backward applies the inverse rotation,
+    ``g * cos - swap_pairs(g) * sin``.
     """
     out = rope_fwd(x.data, cos, sin)
 
     def backward(g):
         if x.requires_grad:
-            g1 = g[..., 0::2]
-            g2 = g[..., 1::2]
-            gx = np.empty_like(g)
-            gx[..., 0::2] = g1 * cos + g2 * sin
-            gx[..., 1::2] = -g1 * sin + g2 * cos
+            gx = np.multiply(g, cos, out=np.empty_like(g))
+            s = _swap_pairs(g)
+            s *= sin
+            gx -= s
             x.accumulate_grad(gx)
 
     return _make(out, (x,), backward)

@@ -204,7 +204,8 @@ def test_criterion_1_gradient_suite():
     n, hd = 3, 4
     inv = 10000.0 ** (-np.arange(0, hd, 2) / hd)
     ang = np.outer(np.arange(n), inv)
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos = np.repeat(np.cos(ang), 2, axis=1)
+    sin = np.stack([-np.sin(ang), np.sin(ang)], axis=-1).reshape(n, hd)
     x_rope = rng.normal(size=(2, n, hd))
     w54 = rng.normal(size=(5, 4))
     counts = np.array([[3.0], [7.0]])

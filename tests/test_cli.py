@@ -1,6 +1,7 @@
 """End-to-end command-line workflow on a miniature experiment."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import skiproute.metrics as X
 import skiproute.model as M
 import skiproute.router as R
 import skiproute.tensor as T
+import skiproute.training as TR
 from skiproute.cli import main
 from skiproute.config import load_experiment
 from skiproute.tokenizer import frame_prompt
@@ -162,6 +164,50 @@ def test_oracle_subcommand(workdir, capsys):
     assert rows[-1][1] == "00"  # epsilon 1 admits the empty subsequence
 
 
+def test_train_router_band_matches_direct_tuning(workdir, tmp_path, capsys):
+    # a fast, high-pressure rig: tuning lands after retrying at lower rates
+    cfg = tmp_path / "band.ini"
+    cfg.write_text(TINY_INI.replace("lr_min = 1e-3", "lr_min = 0.1")
+                   .replace("lr_max = 3e-3", "lr_max = 0.1")
+                   .replace("max_epochs = 1", "max_epochs = 2"))
+    out = tmp_path / "tuned.bin"
+    assert main(["train-router", "--config", str(cfg), "--model", workdir["pre"],
+                 "--out", str(out), "--alpha", "1.0", "--band", "0.05,0.5"]) == 0
+    printed = capsys.readouterr().out
+
+    exp = load_experiment(str(cfg))
+    weights = BU.load_bundle(workdir["pre"]).weights
+    train, val, _ = D.generate_dataset(exp.task)
+    tuned = TR.tune_routers_to_band(
+        weights.config, weights, train, val, dataclasses.replace(exp.train, alpha=1.0),
+        probe_pairs=val[:24], band=(0.05, 0.5))
+    direct = tmp_path / "direct.bin"
+    BU.save_bundle(str(direct), routers=tuned.routers)
+    assert out.read_bytes() == direct.read_bytes()
+    assert (f"in {tuned.attempts} attempt(s): skip fraction "
+            f"{tuned.skip_fraction:.4f} on 8 validation prompts") in printed
+
+
+def test_train_router_band_missed_exits_two(workdir, tmp_path, capsys):
+    out = tmp_path / "never.bin"
+    assert main(["train-router", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--out", str(out), "--band", "0.05,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "missed the skip band (0.05, 0.5)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", ["0.3", "0.3,0.2", "a,b", "0.1,1.5", "-0.1,0.2",
+                                  "0.1,0.2,0.3"])
+def test_bad_bands_are_usage_errors(workdir, capsys, band):
+    with pytest.raises(SystemExit) as e:
+        main(["train-router", "--config", workdir["cfg"], "--model", workdir["pre"],
+              "--out", "unused.bin", "--band", band])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--band" in err and "Traceback" not in err
+
+
 def test_stats_and_reaggregation(workdir, capsys):
     dump = workdir["root"] / "raw.csv"
     assert main(["stats", "--config", workdir["cfg"], "--model", workdir["pre"],
@@ -173,6 +219,7 @@ def test_stats_and_reaggregation(workdir, capsys):
     again = capsys.readouterr().out
     assert direct == again
     assert "average:" in direct and "min margin" in direct
+    assert "distinct skip sets: " in direct and "margin quartiles " in direct
 
 
 def test_stats_dump_matches_per_prompt_prefill(workdir, capsys):

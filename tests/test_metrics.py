@@ -99,6 +99,16 @@ def test_decision_margin_is_the_closest_layer_to_the_threshold():
     assert stats.margin_min == pytest.approx(0.05)
 
 
+def test_skip_stats_count_sets_and_margin_quartiles():
+    rhos = [(0.9, 0.4), (0.8, 0.3), (0.3, 0.55), (0.6, 0.55), (0.2, 0.7)]
+    stats = X.collect_skip_stats([SkipDecision.from_rhos(r) for r in rhos])
+    assert stats.n_skip_sets == 3  # {1} twice, {0} twice, no skip once
+    margins = [0.1, 0.2, 0.05, 0.05, 0.2]
+    assert stats.margin_quartiles == pytest.approx(
+        tuple(np.percentile(margins, (25, 50, 75))))
+    assert stats.margin_quartiles[1] == pytest.approx(0.1)
+
+
 def test_skip_stats_average_equals_mean_of_layer_fractions():
     rng = np.random.default_rng(0)
     sets = [set(np.flatnonzero(rng.random(5) < 0.4)) for _ in range(11)]

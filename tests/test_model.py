@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 
@@ -64,11 +65,12 @@ class TestLayerForward:
         # one position at index 0: rotation is identity, softmax over one
         # score is 1, so attention output is the O-projected V-projection
         expected = (xn @ lw.wv.data.T) @ lw.wo.data.T
-        got = M._attention(T, cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
+        rows = M._rope_rows(cfg, np.arange(1))
+        got = M._attention(T, cfg, lw, T.Tensor(xn), None, rows, None, 0,
                            M._plain_project)
         np.testing.assert_allclose(got.data, expected, rtol=1e-12)
         lw.wo.data[:] = np.eye(2)
-        got_v = M._attention(T, cfg, lw, T.Tensor(xn), None, np.arange(1), None, 0,
+        got_v = M._attention(T, cfg, lw, T.Tensor(xn), None, rows, None, 0,
                              M._plain_project)
         np.testing.assert_allclose(got_v.data, xn @ lw.wv.data.T, rtol=1e-12)
 
@@ -89,6 +91,113 @@ class TestLayerForward:
         x = T.Tensor(np.zeros((1, 2, cfg.d_model), dtype=np.float32))
         with pytest.raises(CacheConsistencyError):
             M.layer_forward(cfg, w, 0, x, cache=cache, positions=np.arange(3, 5))
+
+
+def _half_tables(max_seq, hd):
+    """The half-width float32 tables rotary embedding was defined with."""
+    inv = 10000.0 ** (-np.arange(0, hd, 2, dtype=np.float64) / hd)
+    angles = np.outer(np.arange(max_seq, dtype=np.float64), inv)
+    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+
+
+def _half_rope(d, cos, sin):
+    """Reference rotation over half-width tables: four products on the
+    strided halves of each pair."""
+    x1, x2 = d[..., 0::2], d[..., 1::2]
+    out = np.empty_like(d)
+    np.subtract(x1 * cos, x2 * sin, out=out[..., 0::2])
+    np.add(x1 * sin, x2 * cos, out=out[..., 1::2])
+    return out
+
+
+def _half_rope_grad(g, cos, sin):
+    g1, g2 = g[..., 0::2], g[..., 1::2]
+    gx = np.empty_like(g)
+    gx[..., 0::2] = g1 * cos + g2 * sin
+    gx[..., 1::2] = -g1 * sin + g2 * cos
+    return gx
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestRotary:
+    def test_tables_interleave_the_half_width_tables(self):
+        cos_h, sin_h = _half_tables(256, 16)
+        cos, sin = M._rope_tables(256, 16)
+        assert cos.shape == sin.shape == (256, 16)
+        assert cos.dtype == sin.dtype == np.float32
+        for even_odd in (slice(0, None, 2), slice(1, None, 2)):
+            np.testing.assert_array_equal(_bits(cos[:, even_odd]), _bits(cos_h))
+        np.testing.assert_array_equal(_bits(sin[:, 0::2]), _bits(-sin_h))
+        np.testing.assert_array_equal(_bits(sin[:, 1::2]), _bits(sin_h))
+        assert not cos.flags.writeable and not sin.flags.writeable
+
+    # (batch, positions) of a default-model decode step at the first and
+    # last position, a 240-token prefill block and a batch-16 training block
+    @pytest.mark.parametrize("b,positions", [
+        (1, [0]), (1, [255]), (1, list(range(240))), (16, list(range(20)))],
+        ids=["decode0", "decode255", "prefill240", "train16"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_matches_half_width_composition(self, b, positions, dtype):
+        h, hd = 4, 16
+        n = len(positions)
+        rng = np.random.default_rng(n + b)
+        # laid out as the model's heads: a transposed view of (b, n, h*hd)
+        d = rng.normal(size=(b, n, h * hd)).astype(dtype).reshape(
+            b, n, h, hd).transpose(0, 2, 1, 3)
+        g = rng.normal(size=(b, h, n, hd)).astype(dtype)
+        cos_h, sin_h = (t[positions] for t in _half_tables(256, hd))
+        rows = M._rope_rows(M.ModelConfig(), positions)
+
+        ref = _half_rope(d, cos_h, sin_h)
+        got = T.plain.rope(d, *rows)
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+        assert got.strides == ref.strides
+
+        x = T.Tensor(d, requires_grad=True)
+        out = T.rope(x, *rows)
+        np.testing.assert_array_equal(_bits(out.data), _bits(ref))
+        out.backward(g)
+        np.testing.assert_array_equal(_bits(x.grad), _bits(_half_rope_grad(g, cos_h, sin_h)))
+
+    @pytest.mark.parametrize("positions", [[15, 16], [-2, -1]])
+    def test_positions_outside_the_tables_raise(self, positions):
+        cfg, w = tiny_model(m=2, max_seq=16)
+        x = np.zeros((1, 2, cfg.d_model), dtype=np.float32)
+        with pytest.raises(ShapeError, match="outside 0..15"):
+            M.layer_branch(cfg, w, 0, x, positions=np.array(positions))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("case", ["plain", "cache", "padded"])
+    def test_shared_rows_match_direct_layer_calls(self, case, grad):
+        """``forward_full`` hands every layer slices of the tables; a chain of
+        direct ``layer_forward`` calls gathers its own rows per layer."""
+        cfg, w = tiny_model(m=3, max_seq=32)
+        toks = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(2, 9))
+        attn = np.ones((2, 9), dtype=np.int64)
+        if case == "padded":
+            attn[1, 6:] = 0
+        blocks = [(0, 5), (5, 9)] if case == "cache" else [(0, 9)]
+        mask = attn if case == "padded" else None
+        with contextlib.ExitStack() as stack:
+            if not grad:
+                stack.enter_context(T.no_grad())
+            cache = M.KVCache(cfg, batch_size=2) if case == "cache" else None
+            ref_cache = M.KVCache(cfg, batch_size=2) if case == "cache" else None
+            for lo, hi in blocks:
+                got = M.forward_full(cfg, w, toks[:, lo:hi], cache=cache, attn_mask=mask)
+                ref = T.embedding(w.embedding, toks[:, lo:hi])
+                for i in range(cfg.n_layers):
+                    ref = M.layer_forward(cfg, w, i, ref, mask, ref_cache,
+                                          np.arange(lo, hi))
+                if ref_cache is not None:
+                    ref_cache.n_positions = hi
+                ref = M._finish(w, ref)
+                np.testing.assert_array_equal(_bits(T.lift(got).data),
+                                              _bits(T.lift(ref).data))
 
 
 class TestForwardFull:

@@ -461,7 +461,9 @@ class TestStructuralOps:
         n, hd = 3, 4
         inv = 10000.0 ** (-np.arange(0, hd, 2) / hd)
         ang = np.outer(np.arange(n), inv)
-        cos, sin = np.cos(ang), np.sin(ang)
+        # interleaved tables: each pair's cosine twice, (-sin, +sin) per pair
+        cos = np.repeat(np.cos(ang), 2, axis=1)
+        sin = np.stack([-np.sin(ang), np.sin(ang)], axis=-1).reshape(n, hd)
         x = rand64(2, n, hd)
         out = T.rope(T.Tensor(x), cos, sin).data
         # rotation preserves pairwise norms
@@ -472,8 +474,8 @@ class TestStructuralOps:
 
     def test_position_zero_is_identity(self):
         hd = 4
-        cos = np.ones((1, hd // 2))
-        sin = np.zeros((1, hd // 2))
+        cos = np.ones((1, hd))
+        sin = np.array([[-0.0, 0.0] * (hd // 2)])
         x = rand64(1, 1, hd)
         np.testing.assert_array_equal(T.rope(T.Tensor(x), cos, sin).data, x)
 
