@@ -58,6 +58,17 @@ def _count(least: int):
 _positive, _non_negative = _count(1), _count(0)
 
 
+def _fraction(text: str) -> float:
+    """An argparse type for a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _band(text: str) -> tuple[float, float]:
     """An argparse type for a skip band ``lo,hi`` with 0 <= lo < hi <= 1."""
     try:
@@ -419,10 +430,11 @@ def build_parser() -> _Parser:
     p = add("infer", cmd_infer, "generate from a prompt")
     p.add_argument("--model", required=True)
     p.add_argument("--prompt", required=True)
-    p.add_argument("--routers", help="route layer skipping per prompt")
     p.add_argument("--adapters", help="apply low-rank adapters")
-    p.add_argument("--skip", type=_skip_list, default=frozenset(),
-                   help="fixed skip set, e.g. 3,8")
+    skipping = p.add_mutually_exclusive_group()
+    skipping.add_argument("--routers", help="route layer skipping per prompt")
+    skipping.add_argument("--skip", type=_skip_list, default=frozenset(),
+                          help="fixed skip set, e.g. 3,8")
     p.add_argument("--full-prefill", action="store_true",
                    help="prefill every layer, skip during decode only")
     p.add_argument("--max-new", type=_positive)
@@ -439,7 +451,7 @@ def build_parser() -> _Parser:
 
     p = add("oracle", cmd_oracle, "exhaustive layer-subsequence search")
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_fraction, default=0.0)
     p.add_argument("--quality", choices=("golden", "dataset", "perplexity"),
                    default="golden")
     p.add_argument("--max-prompts", type=_positive, default=8)
@@ -457,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--routers", required=True)
     p.add_argument("--adapters")
-    p.add_argument("--retained", type=int,
+    p.add_argument("--retained", type=_count(2),
                    help="layers the spaced baseline keeps (default: match "
                         "the routed budget)")
     p.add_argument("--max-prompts", type=_positive, default=16)
@@ -487,3 +499,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

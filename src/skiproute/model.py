@@ -154,15 +154,14 @@ def _rope_tables(max_seq: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _rope_rows(config: ModelConfig, positions) -> tuple[np.ndarray, np.ndarray]:
-    """The rotary table rows of ``positions``, gathered; a position outside
-    ``0..max_seq-1`` raises ``ShapeError``."""
-    positions = np.asarray(positions)
-    if positions.size and (positions.min() < 0 or positions.max() >= config.max_seq):
-        raise ShapeError(f"positions {positions.min()}..{positions.max()} outside "
-                         f"0..{config.max_seq - 1}")
-    cos_t, sin_t = _rope_tables(config.max_seq, config.head_dim)
-    return cos_t[positions], sin_t[positions]
+def _rope_rows(config: ModelConfig, start: int,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rotary table rows of positions ``start..start+n-1``, as slices of
+    the tables; a range past ``max_seq`` raises ``ShapeError``."""
+    if start + n > config.max_seq:
+        raise ShapeError(f"sequence length {start + n} exceeds max_seq {config.max_seq}")
+    return tuple(t[start:start + n] for t in _rope_tables(config.max_seq,
+                                                          config.head_dim))
 
 
 class KVCache:
@@ -172,7 +171,7 @@ class KVCache:
     filled prefix of every head is read as a view, and only that prefix is
     ever read, so the buffers start uninitialised. ``decode_skip`` is the
     layer set this cache is bound to for decoding, checked against the
-    model's layers; every decode step must present the same set. Layers
+    model's layers; every decode step runs under it. Layers
     the session never executes keep a filled count of 0 and are never read.
     """
 
@@ -264,21 +263,19 @@ def _ffn(ops, lw: LayerWeights, x, layer_index: int, project):
 
 
 def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
-                 x, attn_mask: Optional[np.ndarray] = None,
-                 cache: Optional[KVCache] = None,
-                 positions: Optional[np.ndarray] = None,
-                 project=None, mask: Optional[np.ndarray] = None,
-                 rows: Optional[tuple[np.ndarray, np.ndarray]] = None):
+                 x, mask: Optional[np.ndarray],
+                 rows: tuple[np.ndarray, np.ndarray],
+                 cache: Optional[KVCache] = None, project=None):
     """The layer's residual contribution: attention delta plus FFN delta.
+
+    ``mask`` and ``rows`` belong to the pass, not to the layer: its
+    ``attention_mask`` and the rotary table rows of its positions
+    (``_rope_rows``), built once and handed to every layer. With a cache
+    the layer appends its K,V rows; ``forward_full`` checks beforehand that
+    they line up with ``rows``.
 
     ``project(ops, x, w, layer_index, name)`` lets callers wrap every weight
     application (low-rank adapters); it defaults to ``ops.linear(x, w)``.
-
-    ``mask`` is the ``attention_mask`` of ``attn_mask`` for this block and
-    ``rows`` the rotary table rows of ``positions`` (``_rope_rows``): a
-    pass over many layers builds both once and hands them to each. When
-    None, the layer builds them itself; a position outside
-    ``0..max_seq-1`` then raises ``ShapeError``.
 
     ``x`` is a Tensor or an ndarray. The layer runs over ``_ops()``: in
     grad mode on the tape, returning a Tensor; under ``no_grad`` on plain
@@ -286,17 +283,6 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
     """
     if project is None:
         project = _plain_project
-    if positions is None:
-        positions = np.arange(x.shape[1])
-    past = 0 if cache is None else cache.filled[layer_index]
-    if cache is not None and past != int(positions[0]):
-        raise CacheConsistencyError(
-            f"layer {layer_index}: positions start at {int(positions[0])} but the "
-            f"cache holds {past} rows")
-    if mask is None:
-        mask = attention_mask(attn_mask, x.shape[0], x.shape[1], past + x.shape[1])
-    if rows is None:
-        rows = _rope_rows(config, positions)
     lw = weights.layers[layer_index]
     ops = _ops()
     x = ops.lift(x)
@@ -307,15 +293,12 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
 
 
 def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
-                  x, attn_mask: Optional[np.ndarray] = None,
-                  cache: Optional[KVCache] = None,
-                  positions: Optional[np.ndarray] = None,
-                  project=None, mask: Optional[np.ndarray] = None,
-                  rows: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
+                  x, mask: Optional[np.ndarray],
+                  rows: tuple[np.ndarray, np.ndarray],
+                  cache: Optional[KVCache] = None, project=None) -> Tensor:
     """Residual-added layer output, as a Tensor."""
     ops = _ops()
-    branch = layer_branch(config, weights, layer_index, x,
-                          attn_mask, cache, positions, project, mask, rows)
+    branch = layer_branch(config, weights, layer_index, x, mask, rows, cache, project)
     return T.lift(ops.add(ops.lift(x), branch))
 
 
@@ -333,62 +316,54 @@ def forward_full(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
     """Logits for a token block; skipped layers pass the hidden state through.
 
     With a cache, the block continues the session: positions pick up at
-    ``cache.n_positions`` and executed layers append their K,V rows. With
-    ``hidden``, the hidden state entering each executed layer is appended
-    to it as a Tensor (what the routers read at prefill). A skip set naming
-    a layer the model lacks raises ``ConfigError``. Under ``no_grad``
-    the whole pass runs on plain arrays. The attention mask is built and
-    checked once and shared by every layer, and so are the rotary table
-    rows: the block's positions are one range checked against ``max_seq``,
-    so its rows are slices of the tables.
+    ``cache.n_positions`` and executed layers append their K,V rows. Before
+    any layer writes, every layer the pass runs must hold
+    ``cache.n_positions`` rows, or ``CacheConsistencyError`` is raised and
+    the cache is left as it was. With ``hidden``, the hidden state entering
+    each executed layer is appended to it as a Tensor (what the routers
+    read at prefill). A skip set naming a layer the model lacks raises
+    ``ConfigError``, and a block running past ``max_seq`` ``ShapeError``.
+    Under ``no_grad`` the whole pass runs on plain arrays. The attention
+    mask and the rotary table rows are built once for all layers.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
+    b, n = tokens.shape
     start = cache.n_positions if cache is not None else 0
-    n = tokens.shape[1]
-    if start + n > config.max_seq:
-        raise ShapeError(f"sequence length {start + n} exceeds max_seq {config.max_seq}")
+    rows = _rope_rows(config, start, n)
     skip = _layer_set(config, skip_set)
-    positions = np.arange(start, start + n)
-    rows = tuple(t[start:start + n] for t in _rope_tables(config.max_seq,
-                                                          config.head_dim))
+    if cache is not None:
+        for i in range(config.n_layers):
+            if i not in skip and cache.filled[i] != start:
+                raise CacheConsistencyError(
+                    f"layer {i} cache holds {cache.filled[i]} of {start} "
+                    "previous positions")
 
     ops = _ops()
     h = ops.embedding(weights.embedding, tokens)
-    mask = attention_mask(attn_mask, tokens.shape[0], n, start + n)
+    mask = attention_mask(attn_mask, b, n, start + n)
     for i in range(config.n_layers):
         if i in skip:
             continue
         if hidden is not None:
             hidden.append(T.lift(h))
-        h = ops.add(h, layer_branch(config, weights, i, h, attn_mask, cache,
-                                    positions, project, mask, rows))
+        h = ops.add(h, layer_branch(config, weights, i, h, mask, rows, cache, project))
     if cache is not None:
         cache.n_positions += n
     return T.lift(_finish(weights, h))
 
 
 def decode_step(config: ModelConfig, weights: ModelWeights, tokens: np.ndarray,
-                cache: KVCache, skip_set: Sequence[int] = (), project=None) -> Tensor:
-    """One incremental token; the cache must match the skip set it was built for."""
-    skip = frozenset(int(i) for i in skip_set)
-    if skip != cache.decode_skip:
-        raise CacheConsistencyError(
-            f"decode skip set {sorted(skip)} differs from the cache's "
-            f"{sorted(cache.decode_skip)}")
-    for i in range(config.n_layers):
-        if i not in skip and cache.filled[i] != cache.n_positions:
-            raise CacheConsistencyError(
-                f"layer {i} cache holds {cache.filled[i]} of {cache.n_positions} "
-                "previous positions")
+                cache: KVCache, project=None) -> Tensor:
+    """One incremental token under the cache's decode skip set."""
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
     if tokens.shape[1] != 1:
         raise ShapeError(f"decode_step takes one token per sequence, got {tokens.shape}")
-    return forward_full(config, weights, tokens, skip_set=skip, cache=cache,
-                        project=project)
+    return forward_full(config, weights, tokens, skip_set=cache.decode_skip,
+                        cache=cache, project=project)
 
 
 @dataclass(frozen=True)
@@ -458,7 +433,7 @@ def _generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[i
                 and cache.n_positions < config.max_seq:
             t0 = time.perf_counter()
             logits = decode_step(config, weights, np.array([[tok]]), cache,
-                                 cache.decode_skip, project=project)
+                                 project=project)
             tok = sample_token(logits.data[0, -1], sampler, rng)
             times.append(time.perf_counter() - t0)
             out.append(tok)

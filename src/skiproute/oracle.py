@@ -57,13 +57,15 @@ def subsequence_forward(config: ModelConfig, weights: ModelWeights,
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
-    positions = np.arange(tokens.shape[1])
+    b, n = tokens.shape
+    rows = M._rope_rows(config, 0, n)
+    mask = M.attention_mask(attn_mask, b, n, n)
 
     levels = {EMBEDDING_LEVEL: T.embedding(weights.embedding, tokens)}
     for i in include:
         src = levels[anc(include, i)]
-        levels[i] = M.layer_forward(config, weights, i, src, attn_mask,
-                                    None, positions, project)
+        levels[i] = M.layer_forward(config, weights, i, src, mask, rows,
+                                    project=project)
     top = levels[include[-1]] if include else levels[EMBEDDING_LEVEL]
     return T.lift(M._finish(weights, top))
 

@@ -116,16 +116,14 @@ def unify_batch(rhos: Tensor) -> Tensor:
 
 
 def soft_layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
-                       hidden: Tensor, rho: Tensor,
-                       attn_mask: Optional[np.ndarray] = None,
-                       project=None, mask: Optional[np.ndarray] = None,
-                       rows: Optional[tuple[np.ndarray, np.ndarray]] = None
+                       hidden: Tensor, rho: Tensor, mask: Optional[np.ndarray],
+                       rows: tuple[np.ndarray, np.ndarray], project=None
                        ) -> Tensor:
     """hidden + rho * branch: exact layer at rho=1, exact identity at rho=0.
-    ``mask`` and ``rows`` are the prebuilt attention mask and rotary table
+    ``mask`` and ``rows`` are the pass's attention mask and rotary table
     rows, as for ``M.layer_branch``."""
-    branch = T.lift(M.layer_branch(config, weights, layer_index, hidden, attn_mask,
-                                   project=project, mask=mask, rows=rows))
+    branch = T.lift(M.layer_branch(config, weights, layer_index, hidden, mask, rows,
+                                   project=project))
     return T.add(hidden, T.mul(rho, branch))
 
 
@@ -150,13 +148,12 @@ def soft_forward(config: ModelConfig, weights: ModelWeights, routers: RouterBank
     h = T.embedding(weights.embedding, tokens)
     b, n = tokens.shape
     mask = M.attention_mask(attn_mask, b, n, n)
-    rows = M._rope_rows(config, np.arange(n))
+    rows = M._rope_rows(config, 0, n)
     rhos: list[Tensor] = []
     for i in range(config.n_layers):
         rho = unify_batch(router_probability(routers[i], h, router_mask))
         rhos.append(rho)
-        h = soft_layer_forward(config, weights, i, h, rho, attn_mask, project,
-                               mask, rows)
+        h = soft_layer_forward(config, weights, i, h, rho, mask, rows, project)
     return T.lift(M._finish(weights, h)), rhos
 
 

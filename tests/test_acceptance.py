@@ -323,8 +323,7 @@ def test_criterion_2_kv_cache_equivalence():
                                           skip_set=skip,
                                           cache=cache).data[:, -1]]
             for j in range(1, length):
-                out = M.decode_step(TOY, weights, toks[:, j:j + 1], cache,
-                                    skip)
+                out = M.decode_step(TOY, weights, toks[:, j:j + 1], cache)
                 step_logits.append(out.data[:, -1])
         stacked = np.stack(step_logits, axis=1)
         worst = max(worst, float(np.max(np.abs(stacked - full))))
@@ -359,17 +358,18 @@ def test_criterion_3_protocol_equivalence():
                         vocab_size=260, max_seq=32)
     w4 = M.init_model(cfg, np.random.default_rng(4))
     toks = np.asarray(TK.frame_prompt(b"abcdef"))[None, :]
-    positions = np.arange(toks.shape[1])
+    mask = M.attention_mask(None, 1, toks.shape[1], toks.shape[1])
+    rows = M._rope_rows(cfg, 0, toks.shape[1])
     skip_pole = {1, 3}
 
     with T.no_grad():
         h = T.embedding(w4.embedding, toks)
         # per-layer identity at forced exact poles
-        mid = M.layer_forward(cfg, w4, 0, h, None, None, positions)
+        mid = M.layer_forward(cfg, w4, 0, h, mask, rows)
         soft_one = R.soft_layer_forward(cfg, w4, 0, h,
-                                        T.Tensor(np.float32(1.0)))
+                                        T.Tensor(np.float32(1.0)), mask, rows)
         soft_zero = R.soft_layer_forward(cfg, w4, 0, h,
-                                         T.Tensor(np.float32(0.0)))
+                                         T.Tensor(np.float32(0.0)), mask, rows)
         assert np.array_equal(soft_one.data, mid.data)
         assert np.array_equal(soft_zero.data, h.data)
 
@@ -384,7 +384,7 @@ def test_criterion_3_protocol_equivalence():
             scores = states @ bank4[i].weight.data.astype(np.float64)
             assert np.all(sign * scores > 17.5), "construction must saturate"
             if i not in skip_pole:
-                h = M.layer_forward(cfg, w4, i, h, None, None, positions)
+                h = M.layer_forward(cfg, w4, i, h, mask, rows)
 
         soft_logits, rhos = R.soft_forward(cfg, w4, bank4, toks)
         hard_logits = M.forward_full(cfg, w4, toks, skip_set=skip_pole)

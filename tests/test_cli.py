@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import skiproute.model as M
 import skiproute.router as R
 import skiproute.tensor as T
 import skiproute.training as TR
+from skiproute import cli
 from skiproute.cli import main
 from skiproute.config import load_experiment
 from skiproute.tokenizer import frame_prompt
@@ -325,6 +330,18 @@ def test_mismatched_adapters_are_refused_at_load(workdir, tmp_path, capsys,
 # ------------------------------------------------------------ exit codes
 
 
+def test_module_runs_as_a_script(tmp_path):
+    cfg = tmp_path / "x.ini"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "skiproute.cli", "init", "--config", str(cfg)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "[model]" in cfg.read_text()
+
+
 def test_usage_errors_exit_one(workdir):
     with pytest.raises(SystemExit) as e:
         main([])
@@ -354,6 +371,39 @@ def test_bad_counts_are_usage_errors(workdir, capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv[:1] + ["--config", workdir["cfg"], "--model", workdir["pre"]]
              + argv[1:])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_infer_takes_routers_or_a_skip_set_not_both(workdir, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["infer", "--config", workdir["cfg"], "--model", workdir["pre"],
+              "--prompt", "x", "--routers", workdir["routers"], "--skip", "1"])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "not allowed with" in err and "Traceback" not in err
+
+
+def test_retained_below_two_is_a_usage_error(workdir, capsys):
+    argv = ["compare", "--config", workdir["cfg"], "--model", workdir["pre"],
+            "--routers", workdir["routers"], "--max-prompts", "1",
+            "--runs", "1", "--warmup", "0", "--max-new", "2"]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--retained", "1"])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    # more layers than the loaded model has is a data error
+    assert main(argv + ["--retained", "3"]) == 2
+    assert "retained count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["2", "-0.5", "nan", "tight"])
+def test_epsilon_outside_zero_one_is_a_usage_error(workdir, capsys, epsilon):
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", "--config", workdir["cfg"], "--model", workdir["pre"],
+              "--epsilon", epsilon])
     assert e.value.code == 1
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err

@@ -27,6 +27,12 @@ def tokens_for(cfg, n, seed=1):
     return np.random.default_rng(seed).integers(0, cfg.vocab_size, size=(1, n))
 
 
+def pass_inputs(cfg, b, n):
+    """The attention mask and rotary rows of an unpadded (b, n) block at
+    position 0, as a pass builds them for its layers."""
+    return M.attention_mask(None, b, n, n), M._rope_rows(cfg, 0, n)
+
+
 class TestConfig:
     def test_head_split_must_divide(self):
         with pytest.raises(ConfigError):
@@ -54,7 +60,7 @@ class TestLayerForward:
         w.layers[1].wo.data[:] = 0.0
         w.layers[1].w_down.data[:] = 0.0
         x = T.Tensor(np.random.default_rng(2).normal(size=(2, 5, cfg.d_model)))
-        out = M.layer_forward(cfg, w, 1, x)
+        out = M.layer_forward(cfg, w, 1, x, *pass_inputs(cfg, 2, 5))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_single_position_attention_matches_hand_computation(self):
@@ -65,7 +71,7 @@ class TestLayerForward:
         # one position at index 0: rotation is identity, softmax over one
         # score is 1, so attention output is the O-projected V-projection
         expected = (xn @ lw.wv.data.T) @ lw.wo.data.T
-        rows = M._rope_rows(cfg, np.arange(1))
+        rows = M._rope_rows(cfg, 0, 1)
         got = M._attention(T, cfg, lw, T.Tensor(xn), None, rows, None, 0,
                            M._plain_project)
         np.testing.assert_allclose(got.data, expected, rtol=1e-12)
@@ -79,18 +85,21 @@ class TestLayerForward:
         x = np.random.default_rng(1).normal(size=(1, 4, cfg.d_model))
         later = x.copy()
         later[0, 3] += 1.0
+        mask = M.attention_mask(None, 1, 4, 4)
         for start in (0, 3):
-            pos = np.arange(start, start + 4)
-            a = M.layer_forward(cfg, w, 0, T.Tensor(x), positions=pos)
-            b = M.layer_forward(cfg, w, 0, T.Tensor(later), positions=pos)
+            rows = M._rope_rows(cfg, start, 4)
+            a = M.layer_forward(cfg, w, 0, T.Tensor(x), mask, rows)
+            b = M.layer_forward(cfg, w, 0, T.Tensor(later), mask, rows)
             np.testing.assert_array_equal(a.data[:, :3], b.data[:, :3])
 
     def test_cache_position_mismatch(self):
+        # the block would start at position 3, but no layer holds any rows
         cfg, w = tiny_model()
         cache = M.KVCache(cfg)
-        x = T.Tensor(np.zeros((1, 2, cfg.d_model), dtype=np.float32))
+        cache.n_positions = 3
         with pytest.raises(CacheConsistencyError):
-            M.layer_forward(cfg, w, 0, x, cache=cache, positions=np.arange(3, 5))
+            M.forward_full(cfg, w, tokens_for(cfg, 2), cache=cache)
+        assert cache.filled == [0, 0, 0] and cache.n_positions == 3
 
 
 def _half_tables(max_seq, hd):
@@ -150,7 +159,7 @@ class TestRotary:
             b, n, h, hd).transpose(0, 2, 1, 3)
         g = rng.normal(size=(b, h, n, hd)).astype(dtype)
         cos_h, sin_h = (t[positions] for t in _half_tables(256, hd))
-        rows = M._rope_rows(M.ModelConfig(), positions)
+        rows = M._rope_rows(M.ModelConfig(), positions[0], n)
 
         ref = _half_rope(d, cos_h, sin_h)
         got = T.plain.rope(d, *rows)
@@ -163,18 +172,26 @@ class TestRotary:
         out.backward(g)
         np.testing.assert_array_equal(_bits(x.grad), _bits(_half_rope_grad(g, cos_h, sin_h)))
 
-    @pytest.mark.parametrize("positions", [[15, 16], [-2, -1]])
+    # (start, n): a block running one and two positions past max_seq
+    @pytest.mark.parametrize("positions", [(15, 2), (13, 5)])
     def test_positions_outside_the_tables_raise(self, positions):
+        start, n = positions
         cfg, w = tiny_model(m=2, max_seq=16)
-        x = np.zeros((1, 2, cfg.d_model), dtype=np.float32)
-        with pytest.raises(ShapeError, match="outside 0..15"):
-            M.layer_branch(cfg, w, 0, x, positions=np.array(positions))
+        with pytest.raises(ShapeError, match="exceeds max_seq 16"):
+            M._rope_rows(cfg, start, n)
+        cache = M.KVCache(cfg)
+        with T.no_grad():
+            M.forward_full(cfg, w, tokens_for(cfg, start), cache=cache)
+            with pytest.raises(ShapeError, match="exceeds max_seq 16"):
+                M.forward_full(cfg, w, tokens_for(cfg, n), cache=cache)
+        assert cache.filled == [start, start] and cache.n_positions == start
 
     @pytest.mark.parametrize("grad", [True, False])
     @pytest.mark.parametrize("case", ["plain", "cache", "padded"])
     def test_shared_rows_match_direct_layer_calls(self, case, grad):
         """``forward_full`` hands every layer slices of the tables; a chain of
-        direct ``layer_forward`` calls gathers its own rows per layer."""
+        direct ``layer_forward`` calls given rows gathered position by
+        position gives the same bits."""
         cfg, w = tiny_model(m=3, max_seq=32)
         toks = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(2, 9))
         attn = np.ones((2, 9), dtype=np.int64)
@@ -190,9 +207,11 @@ class TestRotary:
             for lo, hi in blocks:
                 got = M.forward_full(cfg, w, toks[:, lo:hi], cache=cache, attn_mask=mask)
                 ref = T.embedding(w.embedding, toks[:, lo:hi])
+                ref_mask = M.attention_mask(mask, 2, hi - lo, hi)
+                rows = tuple(t[np.arange(lo, hi)] for t in M._rope_tables(
+                    cfg.max_seq, cfg.head_dim))
                 for i in range(cfg.n_layers):
-                    ref = M.layer_forward(cfg, w, i, ref, mask, ref_cache,
-                                          np.arange(lo, hi))
+                    ref = M.layer_forward(cfg, w, i, ref, ref_mask, rows, ref_cache)
                 if ref_cache is not None:
                     ref_cache.n_positions = hi
                 ref = M._finish(w, ref)
@@ -206,7 +225,7 @@ class TestForwardFull:
         toks = tokens_for(cfg, 6)
         ref = T.embedding(w.embedding, toks)
         for i in range(cfg.n_layers):
-            ref = M.layer_forward(cfg, w, i, ref)
+            ref = M.layer_forward(cfg, w, i, ref, *pass_inputs(cfg, 1, 6))
         ref = M._finish(w, ref)
         out = M.forward_full(cfg, w, toks)
         np.testing.assert_array_equal(out.data, ref.data)
@@ -269,7 +288,7 @@ class TestForwardFull:
         with pytest.raises(MaskError):
             M.forward_full(cfg, w, toks, attn_mask=attn)
         with pytest.raises(MaskError):
-            M.layer_branch(cfg, w, 0, T.Tensor(np.zeros((1, 5, cfg.d_model))), attn)
+            M.attention_mask(attn, 1, 5, 5)
 
 
 class TestKVCacheEquivalence:
@@ -283,7 +302,7 @@ class TestKVCacheEquivalence:
             step_logits = [M.forward_full(cfg, w, toks[:, :1], skip_set=skip,
                                           cache=cache).data[:, -1]]
             for j in range(1, toks.shape[1]):
-                out = M.decode_step(cfg, w, toks[:, j:j + 1], cache, skip)
+                out = M.decode_step(cfg, w, toks[:, j:j + 1], cache)
                 step_logits.append(out.data[:, -1])
         stacked = np.stack(step_logits, axis=1)
         assert np.max(np.abs(stacked - full)) < 1e-4
@@ -295,7 +314,7 @@ class TestKVCacheEquivalence:
             full = M.forward_full(cfg, w, toks, skip_set=(2,)).data
             cache = M.KVCache(cfg, decode_skip=(2,))
             M.forward_full(cfg, w, toks[:, :4], skip_set=(2,), cache=cache)
-            outs = [M.decode_step(cfg, w, toks[:, j:j + 1], cache, (2,)).data[:, -1]
+            outs = [M.decode_step(cfg, w, toks[:, j:j + 1], cache).data[:, -1]
                     for j in range(4, 7)]
         assert np.max(np.abs(np.stack(outs, axis=1) - full[:, 4:])) < 1e-4
 
@@ -334,13 +353,12 @@ class TestKVCacheEquivalence:
                     cache = M.KVCache(cfg, decode_skip=skip)
                     out.append(M.forward_full(cfg, w, prompt, skip_set=skip, cache=cache).data)
                     for tok in (3, 7, 1):
-                        out.append(M.decode_step(cfg, w, np.array([[tok]]), cache, skip).data)
+                        out.append(M.decode_step(cfg, w, np.array([[tok]]), cache).data)
             logits, cache, decision = R.prefill(cfg, w, bank, prompt)
             assert 0 < len(decision.skip_set) < cfg.n_layers
             out.append(logits.data)
             with T.no_grad():
-                out.append(M.decode_step(cfg, w, np.array([[3]]), cache,
-                                         decision.skip_set).data)
+                out.append(M.decode_step(cfg, w, np.array([[3]]), cache).data)
             res, routed = R.generate_with_routers(cfg, w, bank, prompt[0], 8)
             out += [res.tokens, routed.skip_set]
             return out
@@ -352,14 +370,6 @@ class TestKVCacheEquivalence:
             else:
                 assert got == want
 
-    def test_decode_skip_mismatch(self):
-        cfg, w = tiny_model()
-        cache = M.KVCache(cfg, decode_skip=(1,))
-        with T.no_grad():
-            M.forward_full(cfg, w, tokens_for(cfg, 3), skip_set=(1,), cache=cache)
-            with pytest.raises(CacheConsistencyError):
-                M.decode_step(cfg, w, np.array([[1]]), cache, skip_set=())
-
     def test_decode_missing_history(self):
         cfg, w = tiny_model()
         # prefill skipped layer 1 but the decode set claims it should run
@@ -367,7 +377,18 @@ class TestKVCacheEquivalence:
         with T.no_grad():
             M.forward_full(cfg, w, tokens_for(cfg, 3), skip_set=(1,), cache=cache)
             with pytest.raises(CacheConsistencyError):
-                M.decode_step(cfg, w, np.array([[1]]), cache, skip_set=())
+                M.decode_step(cfg, w, np.array([[1]]), cache)
+
+    def test_missing_history_fails_before_any_write(self):
+        # layer 1 was skipped at prefill; a full block must not let layer 0
+        # grow past the positions the cache has seen
+        cfg, w = tiny_model(m=3)
+        cache = M.KVCache(cfg)
+        with T.no_grad():
+            M.forward_full(cfg, w, tokens_for(cfg, 3), skip_set=(1,), cache=cache)
+            with pytest.raises(CacheConsistencyError):
+                M.forward_full(cfg, w, tokens_for(cfg, 1), cache=cache)
+        assert cache.filled == [3, 0, 3] and cache.n_positions == 3
 
     def test_decode_step_takes_single_token(self):
         cfg, w = tiny_model()
@@ -631,7 +652,7 @@ class TestPrefillThenDecodeProperty:
             steps = [M.forward_full(cfg, w, toks[:, :n_prompt], skip_set=skip,
                                     cache=cache).data]
             for j in range(n_prompt, cfg.max_seq):
-                steps.append(M.decode_step(cfg, w, toks[:, j:j + 1], cache, skip).data)
+                steps.append(M.decode_step(cfg, w, toks[:, j:j + 1], cache).data)
         incremental = np.concatenate(steps, axis=1)
         assert incremental.dtype == dtype
         assert np.max(np.abs(incremental - full)) < 1e-4

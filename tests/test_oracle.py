@@ -10,7 +10,7 @@ import pytest
 import skiproute.model as M
 import skiproute.oracle as O
 import skiproute.tensor as T
-from skiproute.errors import ConfigError, EnumerationLimitError
+from skiproute.errors import ConfigError, EnumerationLimitError, ShapeError
 from skiproute.tokenizer import EOS, frame_prompt
 
 
@@ -80,6 +80,15 @@ def test_subsequence_rejects_out_of_range_layers():
         O.subsequence_forward(config, weights, tokens, [0, 4])
     with pytest.raises(ConfigError):
         O.subsequence_forward(config, weights, tokens, [-1])
+
+
+def test_subsequence_rejects_blocks_past_max_seq():
+    # no layer runs, but positions past max_seq have no rotary rows either
+    config = M.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, max_seq=16)
+    weights = M.init_model(config, np.random.default_rng(0))
+    tokens = np.random.default_rng(1).integers(0, config.vocab_size, size=(1, 20))
+    with pytest.raises(ShapeError, match="exceeds max_seq 16"):
+        O.subsequence_forward(config, weights, tokens, [])
 
 
 # --------------------------------------------------- exhaustive search

@@ -7,14 +7,19 @@ from fdcheck import fd_gradient, relative_error
 from skiproute import model as M
 from skiproute import router as R
 from skiproute import tensor as T
-from skiproute.errors import (CacheConsistencyError, ConfigError, MaskError,
-                              ShapeError)
+from skiproute.errors import ConfigError, MaskError, ShapeError
 
 
 def tiny(m=3, d=16, heads=2, d_ff=32, vocab=40, seed=0, dtype=np.float32):
     cfg = M.ModelConfig(n_layers=m, d_model=d, n_heads=heads, d_ff=d_ff,
                         vocab_size=vocab, max_seq=32)
     return cfg, M.init_model(cfg, np.random.default_rng(seed), dtype=dtype)
+
+
+def pass_inputs(cfg, b, n):
+    """The attention mask and rotary rows of an unpadded (b, n) block at
+    position 0, as a pass builds them for its layers."""
+    return M.attention_mask(None, b, n, n), M._rope_rows(cfg, 0, n)
 
 
 def logit(p):
@@ -100,23 +105,26 @@ class TestSoftLayerForward:
         cfg, w = tiny()
         x = T.Tensor(np.random.default_rng(3).normal(size=(2, 4, cfg.d_model))
                      .astype(np.float32))
-        soft = R.soft_layer_forward(cfg, w, 0, x, T.Tensor(np.float32(1.0)))
-        hard = M.layer_forward(cfg, w, 0, x)
+        inputs = pass_inputs(cfg, 2, 4)
+        soft = R.soft_layer_forward(cfg, w, 0, x, T.Tensor(np.float32(1.0)), *inputs)
+        hard = M.layer_forward(cfg, w, 0, x, *inputs)
         np.testing.assert_array_equal(soft.data, hard.data)
 
     def test_rho_zero_is_bitwise_identity(self):
         cfg, w = tiny()
         x = T.Tensor(np.random.default_rng(4).normal(size=(2, 4, cfg.d_model))
                      .astype(np.float32))
-        soft = R.soft_layer_forward(cfg, w, 1, x, T.Tensor(np.float32(0.0)))
+        soft = R.soft_layer_forward(cfg, w, 1, x, T.Tensor(np.float32(0.0)),
+                                    *pass_inputs(cfg, 2, 4))
         np.testing.assert_array_equal(soft.data, x.data)
 
     def test_rho_half_interpolates(self):
         cfg, w = tiny()
         x = T.Tensor(np.random.default_rng(5).normal(size=(1, 3, cfg.d_model))
                      .astype(np.float32))
-        soft = R.soft_layer_forward(cfg, w, 2, x, T.Tensor(np.float32(0.5)))
-        branch = M.layer_branch(cfg, w, 2, x)
+        inputs = pass_inputs(cfg, 1, 3)
+        soft = R.soft_layer_forward(cfg, w, 2, x, T.Tensor(np.float32(0.5)), *inputs)
+        branch = M.layer_branch(cfg, w, 2, x, *inputs)
         np.testing.assert_array_equal(soft.data, x.data + np.float32(0.5) * branch.data)
 
 
@@ -166,7 +174,7 @@ class TestPrefill:
             for i in range(cfg.n_layers):
                 expected.append(R.unify_batch(
                     R.router_probability(routers[i], h)).item())
-                h = M.layer_forward(cfg, w, i, h)
+                h = M.layer_forward(cfg, w, i, h, *pass_inputs(cfg, 1, 2))
         _, _, decision = R.prefill(cfg, w, routers, toks)
         assert decision.rho == tuple(expected)
 
@@ -214,8 +222,8 @@ class TestDecodeProtocol:
                                             np.array([[1, 2]]))
         first = cache.decode_skip
         with T.no_grad():
-            M.decode_step(cfg, w, np.array([[3]]), cache, decision.skip_set)
-            M.decode_step(cfg, w, np.array([[4]]), cache, decision.skip_set)
+            M.decode_step(cfg, w, np.array([[3]]), cache)
+            M.decode_step(cfg, w, np.array([[4]]), cache)
         assert cache.decode_skip == first == decision.skip_set
 
     def test_invocation_count_drops_by_skipped_layers(self, monkeypatch):
@@ -236,17 +244,9 @@ class TestDecodeProtocol:
             cache.decode_skip = decision.skip_set
             calls.clear()
             with T.no_grad():
-                M.decode_step(cfg, w, np.array([[5]]), cache, decision.skip_set)
+                M.decode_step(cfg, w, np.array([[5]]), cache)
             assert sorted(calls) == [i for i in range(cfg.n_layers)
                                      if i not in forced_skip]
-
-    def test_cache_decision_mismatch(self):
-        cfg, w = tiny()
-        _, cache, decision = R.prefill(cfg, w, R.init_routers(cfg), np.array([[1]]))
-        other = R.SkipDecision.from_rhos([0.0] + [1.0] * (cfg.n_layers - 1))
-        with pytest.raises(CacheConsistencyError):
-            with T.no_grad():
-                M.decode_step(cfg, w, np.array([[2]]), cache, other.skip_set)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_routed_generation_matches_fixed_skip_generation(self, seed):
