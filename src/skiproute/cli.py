@@ -312,6 +312,9 @@ def cmd_compare(args) -> int:
         return R.generate_with_routers(config, weights, routers, prompt_ids,
                                        budget, stop_at=EOS, project=project)
 
+    if args.retained is not None:
+        # a count the model cannot hold is refused before any prompt is routed
+        O.unified_skip_layers(m, args.retained)
     routed_outputs = []
     skip_counts = []
     for prompt, _ in pairs:

@@ -111,15 +111,16 @@ def adapted_matmul(ops, x, base_weight: Tensor, adapter: LoraAdapter,
     dropped at rate ``dropout`` (drawn from ``rng``), over the ops
     namespace ``ops`` (``tensor`` on the tape, ``tensor.plain`` without)."""
     check_fits(adapter, base_weight)
-    mask = None
+    kept = inv_keep = None
     if dropout > 0.0:
         if rng is None:
             raise ConfigError("adapter dropout needs a generator")
         keep = 1.0 - dropout
-        # one pass: kept entries are 1/keep rounded in x's dtype, the rest 0
+        # kept entries are scaled by 1/keep rounded in x's dtype, the rest are 0
         inv_keep = x.dtype.type(1) / x.dtype.type(keep)
-        mask = np.multiply(rng.random(x.shape) < keep, inv_keep, dtype=x.dtype)
-    return ops.adapted_linear(x, base_weight, adapter.a, adapter.b, adapter.scaling, mask)
+        kept = rng.random(x.shape) < keep
+    return ops.adapted_linear(x, base_weight, adapter.a, adapter.b, adapter.scaling,
+                              kept, inv_keep)
 
 
 def adapted_project(adapters: AdapterSet, dropout: float = 0.0,

@@ -190,18 +190,25 @@ def linear_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w.T
 
 
+def _dropout_mask(keep: np.ndarray, inv_keep, dtype) -> np.ndarray:
+    """The float dropout mask of a boolean keep-draw: ``inv_keep`` (1/keep
+    rounded in ``dtype``) where an entry is kept, 0 where it is dropped."""
+    return np.multiply(keep, inv_keep, dtype=dtype)
+
+
 def adapted_linear_fwd(x: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       scaling: float, mask=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       scaling: float, keep=None, inv_keep=None) -> tuple[np.ndarray, np.ndarray]:
     """``x @ W.T + scaling * (((x * mask) @ A.T) @ B.T)``, and the low-rank
-    path's input ``x * mask`` and its rank-wide product (for backward); see
-    ``adapted_linear``. The scaling and the sum are formed in place."""
-    xa = x if mask is None else x * mask
+    path's rank-wide product (for backward); see ``adapted_linear``. The
+    mask and ``x * mask`` are temporaries; the scaling and the sum are
+    formed in place."""
+    xa = x if keep is None else x * _dropout_mask(keep, inv_keep, x.dtype)
     la = linear_fwd(xa, a)
     low = linear_fwd(la, b)
     low *= np.asarray(scaling, dtype=low.dtype)
     out = linear_fwd(x, w)
     out += low
-    return out, xa, la
+    return out, la
 
 
 def sigmoid_fwd(d: np.ndarray) -> np.ndarray:
@@ -379,21 +386,32 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
-                   mask=None) -> Tensor:
+                   keep=None, inv_keep=None) -> Tensor:
     """A projection with a low-rank adapter, ``x @ W.T + scaling * (((x *
     mask) @ A.T) @ B.T)``, as one node where the composed ``linear``,
     ``mul``, ``scale`` and ``add`` ops take up to six; forward and gradients
-    match them bitwise. ``mask`` (an array of ``x``'s shape, or None) is a
-    constant; the node keeps only ``x * mask`` and the rank-wide product,
-    which backward reads, and none of the output-wide intermediates."""
+    match them bitwise. Dropout enters as ``keep``, a boolean array of
+    ``x``'s shape (or None for no dropout), and ``inv_keep``, the kept
+    entries' scale 1/keep rounded in ``x``'s dtype: the mask is
+    ``_dropout_mask(keep, inv_keep, x.dtype)``, a constant. Beyond its
+    parents the node keeps only the rank-wide product and the keep-draw
+    packed one bit per entry; backward rebuilds the mask and ``x * mask``
+    from them, and keeps none of the output-wide intermediates."""
     if x.ndim not in (2, 3) or w.ndim != 2 or a.ndim != 2 or x.shape[-1] != w.shape[1] \
             or a.shape[1] != w.shape[1] or b.shape != (w.shape[0], a.shape[0]):
         raise ShapeError(f"adapted_linear operands disagree: x {x.shape}, W {w.shape}, "
                          f"A {a.shape}, B {b.shape}")
     scaling = float(scaling)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=x.dtype)
-    out, xa, la = adapted_linear_fwd(x.data, w.data, a.data, b.data, scaling, mask)
+    bits = None
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != x.shape:
+            raise ShapeError(f"adapted_linear keep-draw {keep.shape} does not match x {x.shape}")
+        if inv_keep is None:
+            raise TypeError("adapted_linear needs inv_keep with a keep-draw")
+        inv_keep = x.dtype.type(inv_keep)
+        bits = np.packbits(keep)
+    out, la = adapted_linear_fwd(x.data, w.data, a.data, b.data, scaling, keep, inv_keep)
 
     # the composed graph's backward, in the order its reverse sweep runs it:
     # the base product first, then the scaled low-rank chain from B back to x
@@ -409,7 +427,12 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
             b.accumulate_grad(_linear_weight_grad(la, gl))
         if x.requires_grad or a.requires_grad:
             gla = gl @ b.data
+            mask = None
+            if bits is not None:
+                kept = np.unpackbits(bits, count=x.size).view(bool).reshape(x.shape)
+                mask = _dropout_mask(kept, inv_keep, x.dtype)
             if a.requires_grad:
+                xa = x.data if mask is None else x.data * mask
                 a.accumulate_grad(_linear_weight_grad(xa, gla))
             if x.requires_grad:
                 gx = gla @ a.data
@@ -700,8 +723,8 @@ plain = SimpleNamespace(
     lift=lambda x: x.data if isinstance(x, Tensor) else x,
     add=np.add,
     linear=lambda x, w: linear_fwd(x, w.data),
-    adapted_linear=lambda x, w, a, b, scaling, mask=None: adapted_linear_fwd(
-        x, w.data, a.data, b.data, scaling, mask)[0],
+    adapted_linear=lambda x, w, a, b, scaling, keep=None, inv_keep=None: adapted_linear_fwd(
+        x, w.data, a.data, b.data, scaling, keep, inv_keep)[0],
     attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
     swiglu=lambda g, u: swiglu_fwd(g, u)[0],
     transpose=lambda x, axes: x.transpose(axes),

@@ -248,7 +248,7 @@ def test_criterion_1_gradient_suite():
         "adapted_linear": (
             lambda x, w, a, b: T.adapted_linear(x, w, a, b, 1.7), [x234, w54, lo_a, lo_b]),
         "adapted_linear_masked": (
-            lambda x, w, a, b: T.adapted_linear(x, w, a, b, 1.7, drop),
+            lambda x, w, a, b: T.adapted_linear(x, w, a, b, 1.7, drop > 0, 1 / 0.75),
             [x234, w54, lo_a, lo_b]),
     }
     worst_name, worst_err = "", 0.0

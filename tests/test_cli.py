@@ -399,6 +399,22 @@ def test_retained_below_two_is_a_usage_error(workdir, capsys):
     assert "retained count" in capsys.readouterr().err
 
 
+def test_retained_above_depth_exits_before_routing(workdir, monkeypatch, capsys):
+    calls = []
+    real_routed = R.generate_with_routers
+
+    def routed(*args, **kwargs):
+        calls.append(1)
+        return real_routed(*args, **kwargs)
+
+    monkeypatch.setattr(R, "generate_with_routers", routed)
+    assert main(["compare", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--routers", workdir["routers"], "--runs", "1", "--warmup", "0",
+                 "--retained", "3"]) == 2
+    assert "retained count" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("epsilon", ["2", "-0.5", "nan", "tight"])
 def test_epsilon_outside_zero_one_is_a_usage_error(workdir, capsys, epsilon):
     with pytest.raises(SystemExit) as e:

@@ -90,6 +90,16 @@ class TestAdaptedMatmul:
         dropped = L.adapted_matmul(T, x, w, ad, dropout=0.5, rng=np.random.default_rng(10))
         assert np.any(clean.data != dropped.data)
 
+    @pytest.mark.parametrize("ops", [T, T.plain], ids=["tape", "plain"])
+    def test_dropout_draws_one_uniform_per_input_entry(self, ops):
+        ad = random_adapter(6, 4, rank=2)
+        w = T.Tensor(np.random.default_rng(8).normal(size=(6, 4)).astype(np.float32))
+        x = T.Tensor(np.random.default_rng(9).normal(size=(2, 5, 4)).astype(np.float32))
+        rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+        L.adapted_matmul(ops, ops.lift(x), w, ad, dropout=0.1, rng=rng)
+        reference.random(x.shape)
+        assert rng.random() == reference.random()
+
     def test_dropout_needs_rng(self):
         ad = random_adapter(6, 4, rank=2)
         w = T.Tensor(np.zeros((6, 4), dtype=np.float32))

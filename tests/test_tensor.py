@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import fd_gradient, relative_error
+from memcheck import NODE_OVERHEAD_BYTES, retained_bytes
 from skiproute import tensor as T
 from skiproute.errors import MaskError, ShapeError, VocabularyError
 
@@ -268,8 +269,46 @@ def _composed_adapted_linear(x, w, a, b, scaling, mask):
     return T.add(T.linear(x, w), T.scale(low, scaling))
 
 
-def _dropout_mask(shape, rng, dtype=np.float32):
-    return np.multiply(rng.random(shape) < 0.9, dtype(1) / dtype(0.9), dtype=dtype)
+def _dropout(shape, rng, dtype=np.float32):
+    """A keep-draw at rate 0.9, the kept entries' scale, and the float mask
+    the two stand for, formed as adapter dropout formed it."""
+    keep = rng.random(shape) < 0.9
+    inv_keep = dtype(1) / dtype(0.9)
+    return keep, inv_keep, np.multiply(keep, inv_keep, dtype=dtype)
+
+
+def _assert_node_matches_composed(x_shape, w_grad, x_grad, masked, dtype):
+    rng = np.random.default_rng(9)
+    x0 = rng.normal(size=x_shape).astype(dtype)
+    w0 = rng.normal(scale=0.1, size=(48, 64)).astype(dtype)
+    a0 = rng.normal(scale=0.02, size=(8, 64)).astype(dtype)
+    b0 = rng.normal(scale=0.05, size=(48, 8)).astype(dtype)
+    seed = rng.normal(size=x_shape[:-1] + (48,)).astype(dtype)
+    keep, inv_keep, mask = _dropout(x_shape, rng, dtype) if masked else (None,) * 3
+    runs = []
+    # the node takes the keep-draw; the composed ops take its float mask
+    for op in (lambda *t: T.adapted_linear(*t, 4.0 / 3.0, keep, inv_keep),
+               lambda *t: _composed_adapted_linear(*t, 4.0 / 3.0, mask)):
+        x = T.Tensor(x0, requires_grad=x_grad)
+        w = T.Tensor(w0, requires_grad=w_grad)
+        a = T.Tensor(a0, requires_grad=True)
+        b = T.Tensor(b0, requires_grad=True)
+        # x also feeds a plain projection, whose gradient reaches it
+        # first, so the order of the node's two terms shows in the bits
+        out = T.add(T.linear(x, T.Tensor(w0)), op(x, w, a, b))
+        out.backward(seed)
+        runs.append([out.data] + [t.grad for t in (x, w, a, b)])
+    for got, want in zip(*runs):
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    plain = T.plain.adapted_linear(x0, T.Tensor(w0), T.Tensor(a0), T.Tensor(b0),
+                                   4.0 / 3.0, keep, inv_keep)
+    want = _composed_adapted_linear(*(T.Tensor(t) for t in (x0, w0, a0, b0)),
+                                    4.0 / 3.0, mask).data
+    assert plain.tobytes() == want.tobytes()
 
 
 class TestAdaptedLinear:
@@ -278,45 +317,24 @@ class TestAdaptedLinear:
     @pytest.mark.parametrize("w_grad", [False, True])
     @pytest.mark.parametrize("x_shape", [(19, 64), (4, 19, 64)])
     def test_bitwise_equal_to_composed_ops(self, x_shape, w_grad, x_grad, masked):
-        rng = np.random.default_rng(9)
-        x0 = rng.normal(size=x_shape).astype(np.float32)
-        w0 = rng.normal(scale=0.1, size=(48, 64)).astype(np.float32)
-        a0 = rng.normal(scale=0.02, size=(8, 64)).astype(np.float32)
-        b0 = rng.normal(scale=0.05, size=(48, 8)).astype(np.float32)
-        seed = rng.normal(size=x_shape[:-1] + (48,)).astype(np.float32)
-        mask = _dropout_mask(x_shape, rng) if masked else None
-        runs = []
-        for op in (T.adapted_linear, _composed_adapted_linear):
-            x = T.Tensor(x0, requires_grad=x_grad)
-            w = T.Tensor(w0, requires_grad=w_grad)
-            a = T.Tensor(a0, requires_grad=True)
-            b = T.Tensor(b0, requires_grad=True)
-            # x also feeds a plain projection, whose gradient reaches it
-            # first, so the order of the node's two terms shows in the bits
-            out = T.add(T.linear(x, T.Tensor(w0)), op(x, w, a, b, 4.0 / 3.0, mask))
-            out.backward(seed)
-            runs.append([out.data] + [t.grad for t in (x, w, a, b)])
-        for got, want in zip(*runs):
-            if want is None:
-                assert got is None
-                continue
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        plain = T.plain.adapted_linear(x0, T.Tensor(w0), T.Tensor(a0), T.Tensor(b0),
-                                       4.0 / 3.0, mask)
-        want = _composed_adapted_linear(*(T.Tensor(t) for t in (x0, w0, a0, b0)),
-                                        4.0 / 3.0, mask).data
-        assert plain.tobytes() == want.tobytes()
+        _assert_node_matches_composed(x_shape, w_grad, x_grad, masked, np.float32)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bitwise_equal_to_composed_ops_in_float64(self, masked):
+        for x_shape in ((19, 64), (4, 19, 64)):
+            for w_grad in (False, True):
+                for x_grad in (False, True):
+                    _assert_node_matches_composed(x_shape, w_grad, x_grad, masked, np.float64)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_grad(self, masked):
         x, w, a, b = rand64(2, 3, 4), rand64(5, 4), rand64(2, 4), rand64(5, 2)
-        mask = _dropout_mask(x.shape, np.random.default_rng(4), np.float64) if masked \
-            else None
+        keep, inv_keep, _ = _dropout(x.shape, np.random.default_rng(4), np.float64) \
+            if masked else (None,) * 3
         args = [T.Tensor(t) for t in (x, w, a, b)]
         for i, t in enumerate((x, w, a, b)):
             def build(v, i=i):
-                return T.adapted_linear(*args[:i], v, *args[i + 1:], 1.7, mask)
+                return T.adapted_linear(*args[:i], v, *args[i + 1:], 1.7, keep, inv_keep)
             check_op_grad(build, t)
 
     def test_shape_errors(self):
@@ -328,6 +346,26 @@ class TestAdaptedLinear:
             T.adapted_linear(x, w, T.Tensor(np.zeros((2, 3))), b, 1.0)
         with pytest.raises(ShapeError):
             T.adapted_linear(x, w, a, T.Tensor(np.zeros((5, 3))), 1.0)
+        with pytest.raises(ShapeError, match="keep-draw"):
+            T.adapted_linear(x, w, a, b, 1.0, np.ones((4, 3), dtype=bool), 2.0)
+        with pytest.raises(TypeError, match="inv_keep"):
+            T.adapted_linear(x, w, a, b, 1.0, np.ones((3, 4), dtype=bool))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_keeps_one_bit_per_dropout_entry(self, dtype):
+        """Beyond its parents and output, a masked node holds the keep-draw
+        packed one bit per entry and the rank-wide product: no float mask,
+        no ``x * mask`` and no unpacked draw."""
+        rng = np.random.default_rng(11)
+        x = T.Tensor(rng.normal(size=(16, 19, 64)).astype(dtype), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(48, 64)).astype(dtype))
+        a = T.Tensor(rng.normal(size=(8, 64)).astype(dtype), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(48, 8)).astype(dtype), requires_grad=True)
+        inv_keep = dtype(1) / dtype(0.9)
+        out, held = retained_bytes(
+            lambda: T.adapted_linear(x, w, a, b, 2.0, rng.random(x.shape) < 0.9, inv_keep))
+        rank_wide = out.size // 48 * 8 * x.data.itemsize
+        assert held - out.data.nbytes <= -(-x.size // 8) + rank_wide + NODE_OVERHEAD_BYTES
 
 
 class TestMeanSum:
