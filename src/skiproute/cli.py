@@ -7,6 +7,7 @@ data (files, containers, experiment configs), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -58,15 +59,21 @@ def _count(least: int):
 _positive, _non_negative = _count(1), _count(0)
 
 
-def _fraction(text: str) -> float:
-    """An argparse type for a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
+def _real(accepts, requirement: str):
+    """An argparse type for a number that ``accepts`` admits."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_fraction = _real(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_non_negative_real = _real(lambda v: 0.0 <= v < math.inf, "be a finite number >= 0")
 
 
 def _band(text: str) -> tuple[float, float]:
@@ -154,7 +161,7 @@ def cmd_train_router(args) -> int:
               f"{tuned.attempts} attempt(s): skip fraction "
               f"{tuned.skip_fraction:.4f} on {len(probe)} validation prompts")
     else:
-        routers = R.init_routers(weights.config)
+        routers = R.init_routers(weights.config, dtype=weights.embedding.dtype)
         result = TR.train_routers(weights.config, weights, routers, train, val, tc,
                                   log_path=args.log)
     save_bundle(args.out, routers=routers)
@@ -405,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="CSV training log")
-    p.add_argument("--target-accuracy", type=float,
+    p.add_argument("--target-accuracy", type=_fraction,
                    help="stop once validation exact-match reaches this")
     p.add_argument("--max-new", type=_positive)
 
@@ -413,7 +420,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.add_argument("--alpha", type=float, help="override the skip pressure")
+    p.add_argument("--alpha", type=_non_negative_real,
+                   help="override the skip pressure")
     p.add_argument("--band", type=_band,
                    help="warm-start the routers and tune them until the skip "
                         "fraction probed on the validation split lands in "

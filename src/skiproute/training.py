@@ -80,19 +80,31 @@ class Adam:
         self.t = 0
 
     def step(self, lr: float) -> None:
+        """One update at learning rate ``lr`` (a Python float, so every
+        operation rounds in the parameter's dtype). Two temporaries per
+        parameter serve every step of ``p -= lr·m̂ / (√v̂ + eps)``, each
+        rounded in the order of the written expression."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
+            upd = np.multiply(g, 1 - b1)
             m *= b1
-            m += (1 - b1) * g
+            m += upd
+            np.multiply(g, 1 - b2, out=upd)
+            upd *= g
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            v += upd
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=upd)
+            upd *= lr
+            upd /= den
+            p.data -= upd
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -213,6 +213,35 @@ def test_bad_bands_are_usage_errors(workdir, capsys, band):
     assert "usage:" in err and "--band" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--target-accuracy", "1.5"],  # was: trained the whole budget
+    ["pretrain", "--target-accuracy", "-1"],   # was: stopped at the first validation
+    ["train-router", "--alpha", "-1"],         # was: ConfigError, exit 2
+    ["train-router", "--alpha", "nan"],
+])
+def test_bad_training_targets_are_usage_errors(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "unused.bin"
+    with pytest.raises(SystemExit) as e:
+        main(argv[:1] + ["--config", workdir["cfg"], "--model", workdir["pre"],
+                         "--out", str(out)] + argv[1:])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[1] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_router_builds_routers_in_the_model_dtype(workdir, tmp_path, monkeypatch):
+    # bundles hold float32, so a float64 model stands in for the loaded one
+    config = BU.load_bundle(workdir["pre"]).weights.config
+    wide = M.init_model(config, np.random.default_rng(0), dtype=np.float64)
+    monkeypatch.setattr(cli, "_load", lambda path, part, weights=None: wide)
+    saved = {}
+    monkeypatch.setattr(cli, "save_bundle", lambda path, **parts: saved.update(parts))
+    assert main(["train-router", "--config", workdir["cfg"], "--model", workdir["pre"],
+                 "--out", str(tmp_path / "routers.bin")]) == 0
+    assert {p.dtype for p in saved["routers"].parameters()} == {np.dtype(np.float64)}
+
+
 def test_stats_and_reaggregation(workdir, capsys):
     dump = workdir["root"] / "raw.csv"
     assert main(["stats", "--config", workdir["cfg"], "--model", workdir["pre"],

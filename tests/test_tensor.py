@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gemmscan
 from fdcheck import fd_gradient, relative_error
 from memcheck import NODE_OVERHEAD_BYTES, retained_bytes
 from skiproute import tensor as T
@@ -97,6 +101,91 @@ class TestLinear:
             T.linear(T.Tensor(np.zeros((3, 4))), T.Tensor(np.zeros((5, 3))))
         with pytest.raises(ShapeError):
             T.linear(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))))
+
+
+def _weight_grad(x, g):
+    """A weight's gradient as ``linear``'s backward forms it, in the
+    C-contiguous layout ``accumulate_grad`` stores it in."""
+    return np.ascontiguousarray(np.tensordot(x, g, axes=([0, 1], [0, 1])).T)
+
+
+def _stacked_linear(x, w, g):
+    """``linear``'s output and its x and W gradients as stacked products."""
+    return [x @ w.T, g @ w, _weight_grad(x, g)]
+
+
+def _stacked_adapted_linear(x, w, a, b, scaling, mask, g):
+    """``adapted_linear``'s output and its x, W, A and B gradients, each
+    term a stacked product, rounded and summed in the node's order."""
+    s = np.asarray(scaling, dtype=x.dtype)
+    xa = x if mask is None else x * mask
+    la = xa @ a.T
+    low = la @ b.T
+    low *= s
+    out = x @ w.T
+    out += low
+    gl = g * s
+    gla = gl @ b
+    gx = gla @ a
+    gx = np.add(g @ w, gx if mask is None else gx * mask)
+    return [out, gx, _weight_grad(x, g), _weight_grad(xa, gla), _weight_grad(la, gl)]
+
+
+class TestLinearOneGemm:
+    """``linear_fwd`` runs a float32 batch past ``STACKED_SMALL_KERNEL_MAX``
+    as one GEMM; on a BLAS where that changes a byte these tests fail."""
+
+    def test_grid_matches_stacked_product(self):
+        assert gemmscan.mismatches() == []
+
+    def test_grid_matches_stacked_product_on_two_blas_threads(self):
+        # the command line does not pin BLAS threads, so check a second count
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join((src, tests)))
+        done = subprocess.run([sys.executable, "-m", "gemmscan"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_float64_keeps_the_stacked_product(self):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(260, 64))
+        for b, n in ((2, 5), (16, 18), (5, 100)):
+            x = rng.normal(size=(b, n, 64))
+            assert gemmscan.same_array(T.linear_fwd(x, w), x @ w.T)
+
+    @pytest.mark.parametrize("x_shape,m", [((16, 18, 64), 256), ((16, 18, 64), 260),
+                                           ((16, 19, 64), 64), ((3, 60, 16), 24)])
+    def test_tape_linear_matches_stacked_products(self, x_shape, m):
+        rng = np.random.default_rng(12)
+        x0 = rng.normal(size=x_shape).astype(np.float32)
+        w0 = rng.normal(size=(m, x_shape[-1])).astype(np.float32)
+        g = rng.normal(size=x_shape[:-1] + (m,)).astype(np.float32)
+        x, w = T.Tensor(x0, requires_grad=True), T.Tensor(w0, requires_grad=True)
+        out = T.linear(x, w)
+        out.backward(g)
+        for got, want in zip((out.data, x.grad, w.grad), _stacked_linear(x0, w0, g)):
+            assert gemmscan.same_array(got, want)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("x_shape", [(16, 18, 64), (4, 160, 64)])
+    def test_adapted_linear_matches_stacked_products(self, x_shape, masked):
+        rng = np.random.default_rng(13)
+        x0 = rng.normal(size=x_shape).astype(np.float32)
+        w0 = rng.normal(scale=0.1, size=(256, 64)).astype(np.float32)
+        a0 = rng.normal(scale=0.02, size=(8, 64)).astype(np.float32)
+        b0 = rng.normal(scale=0.05, size=(256, 8)).astype(np.float32)
+        g = rng.normal(size=x_shape[:-1] + (256,)).astype(np.float32)
+        keep, inv_keep, mask = _dropout(x_shape, rng) if masked else (None,) * 3
+        leaves = [T.Tensor(t, requires_grad=True) for t in (x0, w0, a0, b0)]
+        out = T.adapted_linear(*leaves, 2.0, keep, inv_keep)
+        out.backward(g)
+        want = _stacked_adapted_linear(x0, w0, a0, b0, 2.0, mask, g)
+        for got, ref in zip([out.data] + [t.grad for t in leaves], want):
+            assert gemmscan.same_array(got, ref)
+        plain = T.plain.adapted_linear(x0, *leaves[1:], 2.0, keep, inv_keep)
+        assert gemmscan.same_array(plain, want[0])
 
 
 class TestSigmoid:

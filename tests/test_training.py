@@ -119,6 +119,45 @@ def test_adam_requires_parameters():
         TR.Adam([])
 
 
+def _reference_adam_step(opt, lr):
+    """``Adam.step`` as the plain expression it computes in place."""
+    opt.t += 1
+    b1, b2 = opt.beta1, opt.beta2
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        g = p.grad
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**opt.t)
+        v_hat = v / (1 - b2**opt.t)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_the_plain_expression(dtype):
+    # a router's weight, an adapter's two factors and an embedding table
+    shapes = [(64,), (8, 64), (64, 8), (260, 64)]
+    rng = np.random.default_rng(21)
+    inits = [rng.normal(scale=0.1, size=s).astype(dtype) for s in shapes]
+    got, want = (TR.Adam([T.Tensor(a.copy(), requires_grad=True) for a in inits])
+                 for _ in range(2))
+    for step in range(20):
+        lr = TR.cosine_lr(step, 20, 1e-4, 3e-3)
+        grads = [rng.normal(scale=10.0 ** -(step % 4), size=s).astype(dtype)
+                 for s in shapes]
+        for opt in (got, want):
+            for p, g in zip(opt.params, grads):
+                p.grad = g
+        got.step(lr)
+        _reference_adam_step(want, lr)
+        assert got.t == want.t
+        for a, b in zip([p.data for p in got.params] + got.m + got.v,
+                        [p.data for p in want.params] + want.m + want.v):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------ loss_total
 
 
