@@ -3,7 +3,8 @@
 Layout: a five-byte magic (four family bytes plus one version digit),
 then sections. Each section is a four-byte ASCII tag, an unsigned 64-bit
 little-endian payload length, and the payload. Tensors are stored as a
-32-bit rank, that many 32-bit extents, then float32 data in C order.
+32-bit rank, that many 32-bit extents, then float32 data in C order; a
+weight, router or adapter array of any other dtype is refused on save.
 All integers are unsigned 32-bit little-endian unless said otherwise.
 The model payload is the six config integers (layers, width, heads, FFN
 width, vocabulary, max sequence) then every parameter as a tensor, in
@@ -48,9 +49,18 @@ _MAX_TENSOR_RANK = 4
 _TAG_PAD = 8
 
 
+def _float32_bytes(arr: np.ndarray) -> bytes:
+    """``arr``'s little-endian float32 bytes in C order. Any other dtype
+    raises ``ConfigError``: it would reload as float32 with other bytes."""
+    if arr.dtype != np.float32:
+        raise ConfigError(f"refusing to save a {arr.dtype} array: bundles "
+                          "hold float32 only")
+    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+
+
 def _pack_tensor(arr: np.ndarray) -> bytes:
     return (struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
-            + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            + _float32_bytes(arr))
 
 
 class _Reader:
@@ -152,10 +162,10 @@ def _pack_routers(routers: RouterBank) -> bytes:
     d = routers[0].weight.data.shape[0]
     out = [struct.pack("<2I", len(routers), d)]
     for router in routers.routers:
-        w = np.ascontiguousarray(router.weight.data, dtype="<f4")
+        w = router.weight.data
         if w.shape != (d,):
             raise BundleShapeError(f"router weight shape {w.shape}, wanted ({d},)")
-        out.append(w.tobytes())
+        out.append(_float32_bytes(w))
     return b"".join(out)
 
 

@@ -61,6 +61,14 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
+    """One layer's parameters. ``wq``/``wk``/``wv`` are the row blocks of
+    one C-contiguous (3·d_model, d_model) buffer ``qkv``, and ``w_gate``/
+    ``w_up`` those of one (2·d_ff, d_model) buffer ``gate_up``: construction
+    copies the given matrices into new buffers and names new Tensors over
+    views of them. Whatever reads a named matrix or updates it in place
+    (bundles, adapters, Adam) sees the one copy a fused decode product
+    reads."""
+
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -70,6 +78,22 @@ class LayerWeights:
     w_down: Tensor
     attn_norm: Tensor
     ffn_norm: Tensor
+    qkv: np.ndarray = field(init=False, repr=False, compare=False)
+    gate_up: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.qkv = self._stack("wq", "wk", "wv")
+        self.gate_up = self._stack("w_gate", "w_up")
+
+    def _stack(self, *names: str) -> np.ndarray:
+        parts = [getattr(self, name) for name in names]
+        buf = np.concatenate([p.data for p in parts])
+        lo = 0
+        for name, p in zip(names, parts):
+            hi = lo + p.shape[0]
+            setattr(self, name, Tensor(buf[lo:hi], requires_grad=p.requires_grad))
+            lo = hi
+        return buf
 
     def matrices(self) -> Iterator[tuple[str, Tensor]]:
         for name in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down"):
@@ -209,6 +233,18 @@ def _plain_project(ops, x, w: Tensor, layer_index: int, name: str):
     return ops.linear(x, w)
 
 
+def _fuses(ops, project, x, buf: np.ndarray) -> bool:
+    """Whether the default projections over the row blocks of ``buf`` run
+    as one product over it: only under ``no_grad`` (the tape's x-gradient
+    would sum in another order), only with no hook (adapters are per
+    name), and only where ``tensor.fuses_on_small_kernel`` keeps each
+    block's bytes. The caller also checks that the named matrices are
+    still views of ``buf``, which a deepcopy or a rebound ``.data``
+    undoes."""
+    return project is _plain_project and ops is T.plain \
+        and T.fuses_on_small_kernel(x, buf)
+
+
 def attention_mask(attn_mask: Optional[np.ndarray], b: int, n: int,
                    t_len: int) -> Optional[np.ndarray]:
     """Which of ``t_len`` keys each of ``n`` queries may read, broadcastable
@@ -240,9 +276,16 @@ def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
     def heads(t):  # (b, n, d) -> (b, h, n, hd)
         return ops.transpose(ops.reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
 
-    q = ops.rope(heads(project(ops, x, lw.wq, layer_index, "wq")), cos, sin)
-    k = ops.rope(heads(project(ops, x, lw.wk, layer_index, "wk")), cos, sin)
-    v = heads(project(ops, x, lw.wv, layer_index, "wv"))
+    if _fuses(ops, project, x, lw.qkv) \
+            and lw.wq.data.base is lw.wk.data.base is lw.wv.data.base is lw.qkv:
+        # one product, and one rotation over its (2, b, h, n, hd) q/k view
+        qkv = T.linear_fwd(x, lw.qkv).reshape(b, n, 3, h, hd).transpose(2, 0, 3, 1, 4)
+        q, k = T.rope_fwd(qkv[:2], cos, sin)
+        v = qkv[2]
+    else:
+        q = ops.rope(heads(project(ops, x, lw.wq, layer_index, "wq")), cos, sin)
+        k = ops.rope(heads(project(ops, x, lw.wk, layer_index, "wk")), cos, sin)
+        v = heads(project(ops, x, lw.wv, layer_index, "wv"))
 
     if cache is not None:
         # Stash the post-rotation rows and read the whole prefix back as
@@ -257,9 +300,15 @@ def _attention(ops, config: ModelConfig, lw: LayerWeights, x,
 
 
 def _ffn(ops, lw: LayerWeights, x, layer_index: int, project):
-    gated = ops.swiglu(project(ops, x, lw.w_gate, layer_index, "w_gate"),
-                       project(ops, x, lw.w_up, layer_index, "w_up"))
-    return project(ops, gated, lw.w_down, layer_index, "w_down")
+    if _fuses(ops, project, x, lw.gate_up) \
+            and lw.w_gate.data.base is lw.w_up.data.base is lw.gate_up:
+        gu = T.linear_fwd(x, lw.gate_up)
+        f = lw.w_gate.shape[0]
+        g, u = gu[..., :f], gu[..., f:]
+    else:
+        g = project(ops, x, lw.w_gate, layer_index, "w_gate")
+        u = project(ops, x, lw.w_up, layer_index, "w_up")
+    return project(ops, ops.swiglu(g, u), lw.w_down, layer_index, "w_down")
 
 
 def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,

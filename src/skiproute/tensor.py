@@ -218,6 +218,23 @@ def linear_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w.T
 
 
+# A product over weights stacked by rows, such as the model's q/k/v or
+# gate/up buffer, multiplies out_features, so it can carry a call across
+# the line above while the separate products stay below it. A scan
+# (b in 1, 2, 16; n in 1..40, 64, 100, 136, 200, 240) found the two forms
+# unequal only there: q/k/v at 7 <= n <= 18, gate/up at n in {3, 4}. On the small kernel, each column block of the stacked
+# product holds the separate product's bytes; past the line the bytes hold
+# too, but at prefill lengths the stacked product ran slower (time to the
+# first token +18%). ``tests/gemmscan.py`` checks the rule.
+def fuses_on_small_kernel(x: np.ndarray, w: np.ndarray) -> bool:
+    """Whether ``linear_fwd(x, w)`` over a ``w`` stacked from row blocks
+    stays on the small kernel, where each of its column blocks equals the
+    block's own ``linear_fwd`` byte for byte: float32, and rows ×
+    out_features at most ``STACKED_SMALL_KERNEL_MAX``."""
+    return x.dtype == w.dtype == np.float32 \
+        and x.shape[-2] * w.shape[0] <= STACKED_SMALL_KERNEL_MAX
+
+
 def _dropout_mask(keep: np.ndarray, inv_keep, dtype) -> np.ndarray:
     """The float dropout mask of a boolean keep-draw: ``inv_keep`` (1/keep
     rounded in ``dtype``) where an entry is kept, 0 where it is dropped."""

@@ -1,8 +1,12 @@
-"""The float32 shape grid on which ``tensor.linear_fwd`` must return the
-stacked ``x @ W.T``'s bytes and layout, whichever form it runs.
+"""The float32 shape grids on which the projection kernels must keep their
+bytes: ``tensor.linear_fwd`` must return the stacked ``x @ W.T``'s bytes
+and layout, whichever form it runs, and wherever
+``tensor.fuses_on_small_kernel`` allows one product over weights stacked
+by rows, each column block of it must hold that block's own
+``linear_fwd`` bytes.
 
 Run as a script (``PYTHONPATH=src:tests python -m gemmscan``) it prints the
-shapes that break that rule, one per line, and exits 1 if there are any;
+shapes that break either rule, one per line, and exits 1 if there are any;
 the tests run it once more under two BLAS threads this way.
 """
 
@@ -18,6 +22,10 @@ ROWS = tuple(range(1, 41)) + (48, 64, 100, 136, 200, 255)
 # projections, the head, the rank-8 factors, and two shapes off the model
 WEIGHTS = ((64, 64), (256, 64), (64, 256), (260, 64), (8, 64), (64, 8),
            (256, 8), (8, 256), (48, 48), (96, 32))
+FUSED_BATCHES = (1, 2, 16)
+# (row blocks, in_features): the model's (192, 64) q/k/v and (512, 64)
+# gate/up buffers, and an uneven stack off the model
+STACKS = (((64, 64, 64), 64), ((256, 256), 64), ((24, 40, 16), 32))
 
 
 def same_array(got: np.ndarray, want: np.ndarray) -> bool:
@@ -43,8 +51,36 @@ def mismatches(seed: int = 0) -> list:
     return bad
 
 
+def fused_mismatches(seed: int = 0) -> list:
+    """The (b, n, rows, in_features) shapes, for every n that
+    ``fuses_on_small_kernel`` allows, where the stacked product is not
+    C-contiguous or a column block of it differs from the block's own
+    ``linear_fwd`` in bytes or, copied out, in layout."""
+    rng = np.random.default_rng(seed)
+    bad = []
+    for blocks, k in STACKS:
+        rows = sum(blocks)
+        for b in FUSED_BATCHES:
+            for n in range(1, T.STACKED_SMALL_KERNEL_MAX // rows + 1):
+                parts = [rng.normal(size=(m, k)).astype(np.float32) for m in blocks]
+                w = np.concatenate(parts)
+                x = rng.normal(size=(b, n, k)).astype(np.float32)
+                fused = T.linear_fwd(x, w)
+                ok = T.fuses_on_small_kernel(x, w) and fused.flags.c_contiguous \
+                    and fused.shape == (b, n, rows)
+                lo = 0
+                for part in parts:
+                    block = fused[..., lo:lo + len(part)]
+                    ok = ok and same_array(block.copy(),
+                                           T.linear_fwd(x, part))
+                    lo += len(part)
+                if not ok:
+                    bad.append((b, n, rows, k))
+    return bad
+
+
 if __name__ == "__main__":
-    found = mismatches()
+    found = mismatches() + fused_mismatches()
     for shape in found:
         print(*shape)
     sys.exit(1 if found else 0)

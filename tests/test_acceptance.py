@@ -527,7 +527,7 @@ def test_criterion_7_latency(caesar_rig):
     tpot = B.measure_tpot({"base": runner(frozenset()),
                            "skip2": runner(frozenset({6, 9})),
                            "skip4": runner(frozenset({3, 5, 7, 9}))},
-                          n_runs=5, warmup=2)
+                          n_runs=15, warmup=2)
     base, skip2, skip4 = tpot["base"], tpot["skip2"], tpot["skip4"]
     r2 = skip2.median / base.median
     r4 = skip4.median / base.median

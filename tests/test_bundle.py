@@ -1,5 +1,6 @@
 """Container round trips plus truncation and corruption behavior."""
 
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import skiproute.model as M
 import skiproute.router as R
 from skiproute.errors import (BadMagicError, BundleError, BundleShapeError,
                               ConfigError, TruncatedFileError, VersionError)
+from skiproute.tensor import Tensor
 
 
 @pytest.fixture
@@ -90,6 +92,36 @@ def test_file_matches_the_documented_layout(tmp_path, parts):
     want = (b"FRST1" + section(b"MODL", model) + section(b"ROUT", routers)
             + section(b"LORA", lora))
     assert path.read_bytes() == want
+
+
+def test_saved_bytes_are_pinned(tmp_path, parts):
+    """How the model holds its weights in memory does not reach the file:
+    the fixture's bundle, and its merged model's, keep these digests."""
+    _, weights, bank, adapters = parts
+    path = tmp_path / "all.bin"
+    BU.save_bundle(str(path), weights=weights, routers=bank, adapters=adapters)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "bf5cbdd1440556cdefb62c379d2911e1a049449febb5cb97edd1a2effee1b0ca"
+    BU.save_bundle(str(path), weights=L.merge(weights, adapters))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "f46599dfd91595dc02c928b4bbda6c36c040117c234bcabcf7c8cf85e84f0b55"
+
+
+@pytest.mark.parametrize("part", ["weights", "one_weight", "routers", "adapters"])
+def test_arrays_that_are_not_float32_are_refused(tmp_path, parts, part):
+    # the file holds float32 only, so another dtype would reload with
+    # other bytes
+    config, weights32, _, _ = parts
+    weights = M.init_model(config, np.random.default_rng(0), dtype=np.float64)
+    if part == "one_weight":
+        weights32.head = Tensor(weights32.head.data.astype(np.float64))
+    given = {"weights": weights, "one_weight": weights32,
+             "routers": R.init_routers(config, dtype=np.float64),
+             "adapters": L.init_adapters(weights, rank=2)}[part]
+    path = tmp_path / "x.bin"
+    with pytest.raises(ConfigError, match="float64 array"):
+        BU.save_bundle(str(path), **{"weights" if part == "one_weight" else part: given})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_partial_bundles_load(tmp_path, parts):

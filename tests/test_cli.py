@@ -334,7 +334,7 @@ def test_mismatched_routers_are_refused_at_load(workdir, tmp_path, capsys,
                                                  count, width):
     path = str(tmp_path / "routers.bin")
     BU.save_bundle(path, routers=R.RouterBank(
-        [R.Router(T.Tensor(np.zeros(width))) for _ in range(count)]))
+        [R.Router(T.Tensor(np.zeros(width, dtype=np.float32))) for _ in range(count)]))
     assert _infer_with(workdir, "--routers", path) == 2
     err = capsys.readouterr().err
     assert f"{count} routers of width [{width}]" in err and "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skiproute import bundle as BU
 from skiproute import data as D
 from skiproute import lora as L
 from skiproute import model as M
@@ -633,6 +634,183 @@ class TestPlainPath:
         after = M.generate(cfg, w, prompt, 6).tokens
         assert after != before
         assert after == M.generate(cfg, copy.deepcopy(w), prompt, 6).tokens
+
+
+def _separate(ops, x, w, layer_index, name):
+    """The default projection as a hook: any hook keeps the separate
+    products."""
+    return ops.linear(x, w)
+
+
+def _fused_products(monkeypatch, w):
+    """A list that gains the id of the buffer of each product run over a
+    layer's q/k/v or gate/up buffer of ``w``."""
+    bufs = {id(buf) for lw in w.layers for buf in (lw.qkv, lw.gate_up)}
+    seen = []
+    kernel = T.linear_fwd
+
+    def counted(x, weight):
+        if id(weight) in bufs:
+            seen.append(id(weight))
+        return kernel(x, weight)
+
+    monkeypatch.setattr(T, "linear_fwd", counted)
+    return seen
+
+
+def _decode_bytes(cfg, w, prompt, n_new, skip=(), routers=None, project=None):
+    """Greedy tokens, the bytes of every logit row and of every filled K/V
+    row, and the decode skip set, of a full prefill (routed when
+    ``routers`` are given) and ``n_new - 1`` decode steps."""
+    prompt = np.asarray(prompt)[None, :]
+    with T.no_grad():
+        if routers is None:
+            cache = M.KVCache(cfg, decode_skip=skip, dtype=w.embedding.dtype)
+            logits = M.forward_full(cfg, w, prompt, cache=cache, project=project)
+        else:
+            logits, cache, _ = R.prefill(cfg, w, routers, prompt, project=project)
+        rows = [logits.data.tobytes()]
+        tokens = [int(np.argmax(logits.data[0, -1]))]
+        while len(tokens) < n_new:
+            logits = M.decode_step(cfg, w, np.array([[tokens[-1]]]), cache,
+                                   project=project)
+            rows.append(logits.data.tobytes())
+            tokens.append(int(np.argmax(logits.data[0, -1])))
+    kv = [buf[:, :, :f].tobytes()
+          for f, k, v in zip(cache.filled, cache.k, cache.v) for buf in (k, v)]
+    return tokens, rows, kv, cache.decode_skip
+
+
+def _assert_packed(w):
+    """Every layer's named q/k/v and gate/up matrices are, in order, the
+    row blocks of its buffers: the same memory, not a copy."""
+    for lw in w.layers:
+        for buf, names in ((lw.qkv, ("wq", "wk", "wv")),
+                           (lw.gate_up, ("w_gate", "w_up"))):
+            assert buf.flags.c_contiguous and buf.flags.owndata
+            lo = 0
+            for name in names:
+                view = getattr(lw, name).data
+                block = buf[lo:lo + len(view)]
+                assert view.base is buf and view.ctypes.data == block.ctypes.data
+                assert view.shape == block.shape and view.strides == block.strides
+                lo += len(view)
+            assert lo == len(buf)
+
+
+class TestFusedDecode:
+    """Under ``no_grad`` with the default projection, a step of at most
+    ``STACKED_SMALL_KERNEL_MAX`` // rows tokens runs one product over each
+    layer's q/k/v buffer and one over its gate/up buffer, with every byte
+    of the separate products."""
+
+    @pytest.mark.parametrize("case", ["full", "skip2", "skip4", "routed"])
+    def test_decode_matches_the_separate_products(self, case, monkeypatch):
+        cfg = M.ModelConfig()
+        w = M.init_model(cfg, np.random.default_rng(21))
+        skip = {"skip2": (6, 9), "skip4": (3, 5, 7, 9)}.get(case, ())
+        routers = None
+        if case == "routed":
+            routers = R.init_routers(cfg)
+            rng = np.random.default_rng(22)
+            for r in routers.routers:
+                r.weight.data[:] = rng.normal(0.0, 3.0, size=cfg.d_model)
+        prompt = np.random.default_rng(23).integers(97, 123, size=10)
+        fused = _fused_products(monkeypatch, w)
+        want = _decode_bytes(cfg, w, prompt, 12, skip, routers, _separate)
+        assert fused == []
+        got = _decode_bytes(cfg, w, prompt, 12, skip, routers)
+        assert got == want
+        # the 10-token prefill keeps the separate products; each decode
+        # step fuses twice per layer it runs
+        run = cfg.n_layers - len(got[3])
+        assert 0 < run < cfg.n_layers if case == "routed" else run == 12 - len(skip)
+        assert len(fused) == 2 * 11 * run
+        if routers is None:
+            tokens = M.generate(cfg, w, prompt.tolist(), 12, skip_set=skip,
+                                prefill_skip=()).tokens
+        else:
+            tokens = R.generate_with_routers(cfg, w, routers, prompt.tolist(),
+                                             12)[0].tokens
+        assert tokens == got[0]
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_short_prefill_matches_the_separate_products(self, b, monkeypatch):
+        # on the default model q/k/v fuses up to 6 tokens, gate/up up to 2
+        cfg = M.ModelConfig()
+        w = M.init_model(cfg, np.random.default_rng(24))
+        fused = _fused_products(monkeypatch, w)
+        for n in range(1, 9):
+            toks = np.random.default_rng(n).integers(0, cfg.vocab_size, size=(b, n))
+            out = {}
+            for project in (None, _separate):
+                with T.no_grad():
+                    cache = M.KVCache(cfg, batch_size=b)
+                    logits = M.forward_full(cfg, w, toks, cache=cache, project=project)
+                out[project] = [logits.data.tobytes()] + [
+                    buf[:, :, :n].tobytes() for buf in cache.k + cache.v]
+            assert out[None] == out[_separate], n
+        assert len(fused) == 12 * (6 + 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_only_float32_inference_fuses(self, dtype, monkeypatch):
+        cfg, w = tiny_model(dtype=dtype)
+        fused = _fused_products(monkeypatch, w)
+        M.generate(cfg, w, [1, 2, 3], 6)
+        assert bool(fused) == (dtype == np.float32)
+        fused.clear()
+        w.set_requires_grad(True)
+        M.forward_full(cfg, w, tokens_for(cfg, 1))  # on the tape
+        assert fused == []
+
+    def test_named_matrices_are_row_blocks_of_the_buffers(self, tmp_path):
+        cfg, w = tiny_model()
+        _assert_packed(w)
+        path = str(tmp_path / "m.bin")
+        BU.save_bundle(path, weights=w)
+        _assert_packed(BU.load_bundle(path).weights)
+        _assert_packed(L.merge(w, _with_random_adapters(w, 3)))
+        some = _with_random_adapters(w, 4)
+        some.adapters = {key: ad for key, ad in some.adapters.items()
+                         if key[1] in ("wk", "w_up")}
+        merged = L.merge(w, some)
+        _assert_packed(merged)
+        # an unmerged matrix is copied into the merged layer's buffer
+        for name in ("wq", "wv", "w_gate"):
+            old, new = getattr(w.layers[0], name), getattr(merged.layers[0], name)
+            assert new is not old and new.data.tobytes() == old.data.tobytes()
+
+    def test_an_adam_step_updates_the_buffers_in_place(self):
+        cfg = M.ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, max_seq=32)
+        w = M.init_model(cfg, np.random.default_rng(11))
+        train, val, _ = D.generate_dataset(D.TaskSpec(
+            kind="copy", min_len=3, max_len=3, n_train=4, n_val=2, n_test=1, seed=1))
+        bufs = [(lw.qkv, lw.gate_up) for lw in w.layers]
+        before = [tuple(buf.copy() for buf in pair) for pair in bufs]
+        tc = TR.TrainConfig(lr_min=0.05, lr_max=0.05, accum_steps=1,
+                            batch_size=4, max_epochs=1, eval_every=1)
+        assert TR.train_model(cfg, w, train, val, tc).steps == 1
+        _assert_packed(w)
+        for lw, pair, old in zip(w.layers, bufs, before):
+            assert lw.qkv is pair[0] and lw.gate_up is pair[1]
+            assert not any(np.array_equal(a, b) for a, b in zip(pair, old))
+
+    def test_copies_and_rebound_weights_take_the_separate_products(self, monkeypatch):
+        cfg, w = tiny_model()
+        prompt = [1, 2, 3, 4]
+        want = _decode_bytes(cfg, w, prompt, 8)
+        dup = copy.deepcopy(w)
+        fused = _fused_products(monkeypatch, dup)
+        assert _decode_bytes(cfg, dup, prompt, 8) == want
+        assert fused == []
+
+        lw = w.layers[1]
+        lw.wk.data = lw.wk.data * 2  # no longer a view of the buffer
+        fused = _fused_products(monkeypatch, w)
+        got = _decode_bytes(cfg, w, prompt, 8)
+        assert got != want
+        assert got == _decode_bytes(cfg, w, prompt, 8, project=_separate)
+        assert fused and id(lw.qkv) not in fused and id(lw.gate_up) in fused
 
 
 class TestPrefillThenDecodeProperty:

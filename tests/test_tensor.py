@@ -148,6 +148,17 @@ class TestLinearOneGemm:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
 
+    def test_fused_stacks_keep_each_blocks_bytes(self):
+        assert gemmscan.fused_mismatches() == []
+
+    @pytest.mark.parametrize("rows,line", [(192, 6), (512, 2)])
+    def test_fused_rule_stops_at_the_small_kernel_line(self, rows, line):
+        w = np.zeros((rows, 64), dtype=np.float32)
+        for b in (1, 16):
+            assert T.fuses_on_small_kernel(np.zeros((b, line, 64), np.float32), w)
+            assert not T.fuses_on_small_kernel(np.zeros((b, line + 1, 64), np.float32), w)
+        assert not T.fuses_on_small_kernel(np.zeros((1, 1, 64)), w.astype(np.float64))
+
     def test_float64_keeps_the_stacked_product(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(260, 64))
