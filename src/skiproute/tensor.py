@@ -406,7 +406,23 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def _linear_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of the weight of ``linear(x, W)`` for output gradient ``g``."""
+    """The gradient of the weight of ``linear(x, W)`` for output gradient
+    ``g``: ``gᵀ x`` summed over every leading row, ``(m, k)`` for ``g`` of
+    width m and ``x`` of width k.
+
+    In float32 it is one product over all ``b·n`` rows, C-contiguous in the
+    weight's own layout, so ``accumulate_grad`` keeps it by reference. It
+    has the bytes of ``np.tensordot(x, g, ...).T``, the form it replaces: a
+    scan (b in 1, 2, 5, 16, 33; n in 1..40, 48, 64, 100, 136, 200, 255; the
+    model's projections, the rank-8 factors, the head and two shapes off
+    the model), with one and with two BLAS threads, found no exception, and
+    ``tests/gemmscan.py`` reruns it. One BLAS thread, batch (16, 18),
+    numpy 2.4.6 on an AVX-512 host, layout copy included: a rank-8
+    factor's gradient takes 5–10 µs against 11–22, a 64×64 weight's 24
+    against 33. Float64 keeps ``tensordot``, whose bytes the direct form
+    misses at many row counts (143 of 230 batch shapes for the head)."""
+    if x.dtype == g.dtype == np.float32:
+        return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
     gw = np.tensordot(x, g, axes=([0, 1], [0, 1])) if x.ndim == 3 else x.T @ g
     return gw.T
 
@@ -416,8 +432,9 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     in_features) weight: one node where ``matmul`` of ``transpose`` takes two,
     computing the same products. The forward is ``linear_fwd``: a float32
     batch past ``STACKED_SMALL_KERNEL_MAX`` runs as one GEMM over all its
-    rows, with the stacked product's bytes. The gradients keep their forms:
-    ``g @ W`` stays stacked, since one GEMM there changes bytes at n = 1
+    rows, with the stacked product's bytes. ``W``'s gradient is
+    ``_linear_weight_grad``, one product over all rows in float32; ``x``'s,
+    ``g @ W``, stays stacked, since one GEMM there changes bytes at n = 1
     and for the rank-8 factors."""
     if x.ndim not in (2, 3) or w.ndim != 2:
         raise ShapeError(f"linear supports rank 2 or 3 by rank 2; got {x.shape} @ {w.shape}.T")
@@ -511,7 +528,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            if (ra, rb) == (3, 2):
+            if (ra, rb) == (3, 2) and a.dtype == g.dtype == np.float32:
+                # ``b`` is a transposed ``linear`` weight (a router's, as a
+                # (d, 1) column): the same product with the operands swapped
+                b.accumulate_grad(_linear_weight_grad(g, a.data))
+            elif (ra, rb) == (3, 2):
                 b.accumulate_grad(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
             else:
                 b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)

@@ -66,8 +66,37 @@ def cosine_lr(step: int, total_steps: int, lr_min: float, lr_max: float) -> floa
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t))
 
 
+# The most elements one Adam update works over at once: its three
+# temporaries (gathered gradients, update, denominator) then stay under
+# 3 · 32768 entries, 384 KB in float32, however large the model. A larger
+# parameter is updated on its own.
+ADAM_BUCKET = 1 << 15
+
+
+def _runs_with_grad(members: list):
+    """The runs of consecutive bucket members whose parameter has a gradient."""
+    run = []
+    for member in members:
+        if member[0].grad is not None:
+            run.append(member)
+        elif run:
+            yield run
+            run = []
+    if run:
+        yield run
+
+
 class Adam:
-    """Adaptive-moment optimizer over an explicit parameter list."""
+    """Adaptive-moment optimizer over an explicit parameter list.
+
+    The moments of all parameters of one dtype live in one flat buffer
+    each; ``m`` and ``v`` hold per-parameter views of them, in the
+    parameters' order and shapes. The buffer is cut into buckets of
+    consecutive parameters of at most ``ADAM_BUCKET`` elements (a larger
+    parameter alone), and a step updates each run of consecutive parameters
+    with a gradient in one bucket with one pass of the update's operations,
+    instead of one pass per parameter. Every operation is elementwise, so
+    each entry is rounded exactly as the per-parameter update rounds it."""
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -75,36 +104,69 @@ class Adam:
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
+        # the positions of the parameters of each dtype, in order
+        groups: dict = {}
+        for i, p in enumerate(self.params):
+            groups.setdefault(p.dtype, []).append(i)
+        self.m: list = [None] * len(self.params)
+        self.v: list = [None] * len(self.params)
+        # each bucket: its dtype's flat m and v, and (parameter, start, end)
+        # per member, the member's span of them
+        self._buckets: list = []
+        for dtype, members in groups.items():
+            total = sum(self.params[i].size for i in members)
+            flat_m, flat_v = np.zeros(total, dtype=dtype), np.zeros(total, dtype=dtype)
+            bucket, lo = [], 0
+            for i in members:
+                p = self.params[i]
+                hi = lo + p.size
+                self.m[i] = flat_m[lo:hi].reshape(p.shape)
+                self.v[i] = flat_v[lo:hi].reshape(p.shape)
+                if bucket and hi - bucket[0][1] > ADAM_BUCKET:
+                    self._buckets.append((flat_m, flat_v, bucket))
+                    bucket = []
+                bucket.append((p, lo, hi))
+                lo = hi
+            self._buckets.append((flat_m, flat_v, bucket))
 
     def step(self, lr: float) -> None:
         """One update at learning rate ``lr`` (a Python float, so every
-        operation rounds in the parameter's dtype). Two temporaries per
-        parameter serve every step of ``p -= lr·m̂ / (√v̂ + eps)``, each
-        rounded in the order of the written expression."""
+        operation rounds in the parameter's dtype). A parameter without a
+        gradient keeps its data and moments. For each run of parameters
+        with one, two temporaries beside the gathered gradients serve every
+        step of ``p -= lr·m̂ / (√v̂ + eps)``, each rounded in the order of
+        the written expression."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            upd = np.multiply(g, 1 - b1)
-            m *= b1
-            m += upd
-            np.multiply(g, 1 - b2, out=upd)
-            upd *= g
-            v *= b2
-            v += upd
-            den = np.divide(v, c2)
-            np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(m, c1, out=upd)
-            upd *= lr
-            upd /= den
-            p.data -= upd
+        for flat_m, flat_v, members in self._buckets:
+            for run in _runs_with_grad(members):
+                self._update(flat_m, flat_v, run, lr, c1, c2)
+
+    def _update(self, flat_m: np.ndarray, flat_v: np.ndarray, run: list, lr: float,
+                c1: float, c2: float) -> None:
+        """The update of one run of a bucket's parameters; its temporaries
+        go when it returns."""
+        b1, b2 = self.beta1, self.beta2
+        lo, hi = run[0][1], run[-1][2]
+        m, v = flat_m[lo:hi], flat_v[lo:hi]
+        g = np.concatenate([p.grad.reshape(-1) for p, _, _ in run], dtype=m.dtype)
+        upd = np.multiply(g, 1 - b1)
+        m *= b1
+        m += upd
+        np.multiply(g, 1 - b2, out=upd)
+        upd *= g
+        v *= b2
+        v += upd
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= den
+        for p, a, b in run:
+            p.data -= upd[a - lo:b - lo].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -103,10 +104,8 @@ class TestLinear:
             T.linear(T.Tensor(np.zeros(4)), T.Tensor(np.zeros((5, 4))))
 
 
-def _weight_grad(x, g):
-    """A weight's gradient as ``linear``'s backward forms it, in the
-    C-contiguous layout ``accumulate_grad`` stores it in."""
-    return np.ascontiguousarray(np.tensordot(x, g, axes=([0, 1], [0, 1])).T)
+# a weight's gradient in the ``np.tensordot`` form, in C layout
+_weight_grad = gemmscan.tensordot_weight_grad
 
 
 def _stacked_linear(x, w, g):
@@ -139,7 +138,8 @@ class TestLinearOneGemm:
         assert gemmscan.mismatches() == []
 
     def test_grid_matches_stacked_product_on_two_blas_threads(self):
-        # the command line does not pin BLAS threads, so check a second count
+        # the command line does not pin BLAS threads, so check a second
+        # count; the script runs the weight-gradient grid too
         tests = os.path.dirname(os.path.abspath(__file__))
         src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
@@ -197,6 +197,53 @@ class TestLinearOneGemm:
             assert gemmscan.same_array(got, ref)
         plain = T.plain.adapted_linear(x0, *leaves[1:], 2.0, keep, inv_keep)
         assert gemmscan.same_array(plain, want[0])
+
+
+class TestWeightGradient:
+    """In float32 every weight gradient is one product over all rows, in
+    the weight's own layout, with the bytes of the ``np.tensordot`` form;
+    on a BLAS where that changes a byte these tests fail."""
+
+    def test_grid_matches_tensordot(self):
+        assert gemmscan.weight_grad_mismatches() == []
+
+    def test_float64_keeps_tensordot(self):
+        rng = np.random.default_rng(6)
+        for (m, k), (b, n) in itertools.product(((260, 64), (8, 64), (64, 8)),
+                                                ((1, 40), (5, 31), (16, 18), (2, 100))):
+            x, g = rng.normal(size=(b, n, k)), rng.normal(size=(b, n, m))
+            gw = np.tensordot(x, g, axes=([0, 1], [0, 1])).T
+            assert gemmscan.same_array(T._linear_weight_grad(x, g), gw)
+            assert gemmscan.same_array(T._linear_weight_grad(x[0], g[0]), (x[0].T @ g[0]).T)
+            hidden, gr = rng.normal(size=(b, n, k)), rng.normal(size=(b, n, 1))
+            w = T.Tensor(rng.normal(size=k), requires_grad=True)
+            T.matmul(T.Tensor(hidden), T.reshape(w, (k, 1))).backward(gr)
+            want = np.tensordot(hidden, gr, axes=([0, 1], [0, 1])).reshape(k)
+            assert w.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_float32_weight_grads_are_kept_in_the_weights_layout(self, masked, monkeypatch):
+        formed = []
+        real = T._linear_weight_grad
+
+        def recording(x, g):
+            formed.append(real(x, g))
+            return formed[-1]
+
+        monkeypatch.setattr(T, "_linear_weight_grad", recording)
+        rng = np.random.default_rng(14)
+        x = T.Tensor(rng.normal(size=(16, 18, 64)).astype(np.float32), requires_grad=True)
+        # a projection feeding an adapted one, as in a layer
+        w1, a, b, w2 = (T.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                        for s in ((256, 64), (8, 256), (64, 8), (64, 256)))
+        hidden = T.linear(x, w1)
+        keep, inv_keep, _ = _dropout(hidden.shape, rng) if masked else (None,) * 3
+        out = T.adapted_linear(hidden, w2, a, b, 2.0, keep, inv_keep)
+        out.backward(rng.normal(size=out.shape).astype(np.float32))
+        assert len(formed) == 4
+        for leaf in (w1, w2, a, b):
+            assert leaf.grad.shape == leaf.shape and leaf.grad.flags.c_contiguous
+            assert any(leaf.grad is f for f in formed)
 
 
 class TestSigmoid:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,8 @@ def _reference_adam_step(opt, lr):
     b1, b2 = opt.beta1, opt.beta2
     for p, m, v in zip(opt.params, opt.m, opt.v):
         g = p.grad
+        if g is None:
+            continue
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -156,6 +159,61 @@ def test_adam_step_matches_the_plain_expression(dtype):
                         [p.data for p in want.params] + want.m + want.v):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bucket", [TR.ADAM_BUCKET, 600])
+def test_adam_over_mixed_dtypes_and_missing_gradients(bucket, monkeypatch):
+    """Float32 and float64 parameters in one optimizer, some of them
+    without a gradient on some steps, one larger than a bucket: a
+    parameter without a gradient keeps its data and moments, and every
+    other byte is the plain expression's."""
+    monkeypatch.setattr(TR, "ADAM_BUCKET", bucket)
+    shapes = [(64,), (8, 64), (64, 8), (260, 64), (256, 8), (3,), (300, 130)]
+    dtypes = [np.float32, np.float64, np.float32, np.float64, np.float32,
+              np.float64, np.float32]
+    rng = np.random.default_rng(22)
+    inits = [rng.normal(scale=0.1, size=s).astype(d) for s, d in zip(shapes, dtypes)]
+    got, want = (TR.Adam([T.Tensor(a.copy(), requires_grad=True) for a in inits])
+                 for _ in range(2))
+    for step in range(20):
+        lr = TR.cosine_lr(step, 20, 1e-4, 3e-3)
+        grads = [None if (step + i) % 3 == 0 else
+                 rng.normal(scale=10.0 ** -(step % 4), size=s).astype(d)
+                 for i, (s, d) in enumerate(zip(shapes, dtypes))]
+        for opt in (got, want):
+            for p, g in zip(opt.params, grads):
+                p.grad = g
+        before = [(p.data.tobytes(), m.tobytes(), v.tobytes())
+                  for p, m, v in zip(got.params, got.m, got.v)]
+        got.step(lr)
+        _reference_adam_step(want, lr)
+        for g, old, p, m, v in zip(grads, before, got.params, got.m, got.v):
+            if g is None:
+                assert (p.data.tobytes(), m.tobytes(), v.tobytes()) == old
+        for a, b, d in zip([p.data for p in got.params] + got.m + got.v,
+                           [p.data for p in want.params] + want.m + want.v, dtypes * 3):
+            assert a.dtype == b.dtype == d
+            assert a.tobytes() == b.tobytes()
+
+
+def test_adam_step_temporaries_stay_bounded():
+    """A step over the whole default model (about 0.8 M float32 entries)
+    allocates no more than three bucket-sized temporaries at once."""
+    weights = M.init_model(M.ModelConfig(), np.random.default_rng(0))
+    params = list(weights.parameters())
+    for p in params:
+        p.grad = np.full_like(p.data, 1e-3)
+    opt = TR.Adam(params)
+    largest = max(TR.ADAM_BUCKET, max(p.size for p in params))
+    bound = 3 * largest * 4 + 64 * 1024  # and the Python objects of a step
+    assert 3 * sum(p.size for p in params) * 4 > 8 * bound
+    tracemalloc.start()
+    try:
+        opt.step(1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # ------------------------------------------------------------ loss_total
