@@ -325,7 +325,7 @@ def _check_fit(path: str, bundle: Bundle, weights: ModelWeights) -> None:
                 raise BundleShapeError(f"{path}: adapter for layer {layer} "
                                        f"of a {c.n_layers}-layer model")
             try:
-                check_fits(ad, getattr(weights.layers[layer], name))
+                check_fits(ad, getattr(weights.layers[layer], name).shape)
             except (ConfigError, ShapeError) as e:
                 raise BundleShapeError(f"{path}: adapter {layer}/{name}: {e}") from e
 

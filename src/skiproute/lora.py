@@ -95,9 +95,10 @@ def init_adapters(weights: ModelWeights, rank: int = 8, lora_alpha: float = 32.0
     return AdapterSet(rank=rank, lora_alpha=lora_alpha, adapters=adapters)
 
 
-def check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
-    """Raise unless ``adapter`` is a low-rank update of ``base_weight``'s shape."""
-    d_out, d_in = base_weight.shape
+def check_fits(adapter: LoraAdapter, shape: tuple[int, int]) -> None:
+    """Raise unless ``adapter`` is a low-rank update of a weight of
+    ``shape``, (out_features, in_features)."""
+    d_out, d_in = shape
     _check_rank(adapter.rank, d_out, d_in)
     if adapter.a.shape != (adapter.rank, d_in) or adapter.b.shape != (d_out, adapter.rank):
         raise ShapeError(
@@ -110,7 +111,14 @@ def adapted_matmul(ops, x, base_weight: Tensor, adapter: LoraAdapter,
     """x @ W.T plus the scaled low-rank path, whose input entries are
     dropped at rate ``dropout`` (drawn from ``rng``), over the ops
     namespace ``ops`` (``tensor`` on the tape, ``tensor.plain`` without)."""
-    check_fits(adapter, base_weight)
+    check_fits(adapter, base_weight.shape)
+    return _adapted(ops, x, base_weight, adapter, dropout, rng)
+
+
+def _adapted(ops, x, base_weight: Tensor, adapter: LoraAdapter, dropout: float,
+             rng: Optional[np.random.Generator]):
+    """``adapted_matmul`` for an adapter already checked on its own; the op
+    checks that it fits ``base_weight``."""
     kept = inv_keep = None
     if dropout > 0.0:
         if rng is None:
@@ -128,13 +136,17 @@ def adapted_project(adapters: AdapterSet, dropout: float = 0.0,
     """A projection hook for the model forward that runs ``adapted_matmul``
     with ``dropout`` wherever an adapter matches, and the plain projection
     elsewhere. Training passes a hook with dropout to its training steps
-    only."""
+    only. Each adapter is checked here, once, against the weight shape its
+    own factors name; on every call the op checks that they fit the weight
+    it meets."""
+    for _, ad in adapters.items():
+        check_fits(ad, (ad.b.shape[0], ad.a.shape[-1]))
 
     def project(ops, x, w: Tensor, layer_index: int, name: str):
         ad = adapters.get(layer_index, name)
         if ad is None:
             return ops.linear(x, w)
-        return adapted_matmul(ops, x, w, ad, dropout, rng)
+        return _adapted(ops, x, w, ad, dropout, rng)
 
     return project
 

@@ -21,12 +21,24 @@ Conventions:
   - only leaves keep ``.grad`` after a backward pass: an interior node
     drops its gradient as soon as it has passed it to its parents, so the
     pass holds the gradients of one frontier, not of the whole graph.
+  - graph links live apart from forward values. An op's output that
+    requires grad holds a ``Node``: its operands' gradient targets, its
+    backward closure, its pending gradient, and its output's shape, dtype and
+    strides (what ``accumulate_grad`` needs to keep a gradient by
+    reference or to lay one out), never the output array. The closure
+    keeps only the arrays its backward reads, chosen when the op is built
+    from which operands then require grad: a ``linear`` over a frozen
+    weight keeps ``W`` but not ``x``, ``rope``, ``add``, ``reshape`` and
+    ``transpose`` keep no array. So a value no backward reads is freed as
+    soon as the forward drops it, and flipping ``requires_grad`` after an
+    op is built does not change what its backward does.
   - tensors that participate in a graph must not be mutated in place.
 """
 
 from __future__ import annotations
 
 import contextlib
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -35,6 +47,7 @@ import numpy as np
 from .errors import MaskError, ShapeError, VocabularyError
 
 DEFAULT_DTYPE = np.float32
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 _GRAD_ENABLED = True
 
@@ -57,21 +70,26 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    """A dense array plus an optional gradient accumulator."""
+    """A dense array plus an optional gradient accumulator.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    A leaf keeps its gradient in ``.grad``. An op's output that requires
+    grad also holds its ``Node``, the place in the graph where its gradient
+    collects during a backward pass."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if arr.dtype not in (np.float32, np.float64):
+        # identity first: native float32 and float64 dtypes are singletons
+        if arr.dtype is not _FLOAT32 and arr.dtype is not _FLOAT64 \
+                and arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node: Optional[Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -96,17 +114,11 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        if self._node is not None:
+            self._node.accumulate_grad(g)
+            return
         d = self.data
-        if self.grad is not None:
-            # never in place: the held array may be another node's gradient
-            self.grad = np.add(self.grad, g, out=np.empty_like(d))
-        elif (g.dtype == d.dtype and g.shape == d.shape and g.strides == d.strides
-              and g.flags.writeable):
-            self.grad = g
-        else:
-            # in data's layout, so later products read it as they read data
-            self.grad = np.empty_like(d)
-            self.grad[...] = g
+        self.grad = _accumulated(self.grad, g, d.shape, d.dtype, d.strides)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Reverse-mode sweep from this node; grads add into the leaves' ``.grad``.
@@ -128,9 +140,13 @@ class Tensor:
             if grad.shape != self.shape:
                 raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        topo: list[Tensor] = []
+        root = self._node
+        if root is None:  # a leaf: the seed is its whole gradient
+            self.accumulate_grad(grad)
+            return
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -140,26 +156,113 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if type(p) is Node and id(p) not in seen:
                     stack.append((p, False))
 
-        self.accumulate_grad(grad)
+        root.accumulate_grad(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 g, node.grad = node.grad, None
-                node._backward(g)
+                node.backward(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Optional[Callable]) -> Tensor:
+class Node:
+    """An op's output as the graph sees it: the operands' gradient targets
+    (``parents``, one per operand: its ``Node``, a leaf ``Tensor``, or None
+    for an operand that takes no gradient), the ``backward`` closure, the
+    gradient pending during a sweep, and the output's shape, dtype and
+    strides, but not the output array itself."""
+
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "strides")
+
+    def __init__(self, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]):
+        self.grad: Optional[np.ndarray] = None
+        self.parents = parents
+        self.backward = backward
+        self.shape, self.dtype, self.strides = data.shape, data.dtype, data.strides
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        self.grad = _accumulated(self.grad, g, self.shape, self.dtype, self.strides)
+
+
+def _is_contiguous(shape: tuple, strides: tuple, itemsize: int, axes) -> bool:
+    """numpy's contiguity flag for ``axes`` running from the fastest axis
+    out: axes of length 1 have any stride, and an empty array is always
+    contiguous."""
+    if 0 in shape:
+        return True
+    step = itemsize
+    for i in axes:
+        if shape[i] != 1:
+            if strides[i] != step:
+                return False
+            step *= shape[i]
+    return True
+
+
+@lru_cache(maxsize=512)
+def _allocation_order(shape: tuple, strides: tuple, itemsize: int):
+    """How ``np.empty_like`` lays out an array like one of this shape and
+    strides: None for C order, "F" for Fortran order, otherwise the axes
+    from the largest absolute stride to the smallest (ties in axis order)
+    with the transpose that puts them back."""
+    n = len(shape)
+    if n <= 1 or _is_contiguous(shape, strides, itemsize, range(n - 1, -1, -1)):
+        return None
+    if _is_contiguous(shape, strides, itemsize, range(n)):
+        return "F"
+    perm = tuple(sorted(range(n), key=lambda i: -abs(strides[i])))
+    return perm, tuple(perm.index(i) for i in range(n))
+
+
+def _empty_like_layout(shape: tuple, dtype, strides: tuple) -> np.ndarray:
+    """``np.empty_like`` of an array of this shape, dtype and strides,
+    without the array."""
+    order = _allocation_order(shape, strides, dtype.itemsize)
+    if order is None:
+        return np.empty(shape, dtype)
+    if order == "F":
+        return np.empty(shape, dtype, order="F")
+    perm, inverse = order
+    return np.empty([shape[i] for i in perm], dtype).transpose(inverse)
+
+
+def _accumulated(held: Optional[np.ndarray], g: np.ndarray, shape: tuple, dtype,
+                 strides: tuple) -> np.ndarray:
+    """The gradient ``held + g`` of an array of this layout, formed out of
+    place. A first gradient is kept by reference when it already has the
+    array's dtype and layout; otherwise it is copied into that layout."""
+    if held is not None:
+        # never in place: the held array may be another node's gradient
+        return np.add(held, g, out=_empty_like_layout(shape, dtype, strides))
+    if g.dtype == dtype and g.shape == shape and g.strides == strides and g.flags.writeable:
+        return g
+    # in data's layout, so later products read it as they read data
+    out = _empty_like_layout(shape, dtype, strides)
+    out[...] = g
+    return out
+
+
+def _target(t: Tensor):
+    """Where ``t``'s gradient goes when an op built now reads ``t``: its
+    node, or ``t`` itself for a leaf; None when it needs none or grad mode
+    is off. Ops decide from this what their backward keeps."""
+    if not (_GRAD_ENABLED and t.requires_grad):
+        return None
+    return t if t._node is None else t._node
+
+
+def _make(data: np.ndarray, targets: tuple, backward: Callable) -> Tensor:
+    """The op's output; with a graph node when some target takes a
+    gradient. ``targets`` are the operands' ``_target``s."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if targets.count(None) < len(targets):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = Node(out.data, targets, backward)
     return out
 
 
@@ -360,49 +463,55 @@ def lift(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    at, bt = _target(a), _target(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        if at is not None:
+            at.accumulate_grad(_unbroadcast(g, a_shape))
+        if bt is not None:
+            bt.accumulate_grad(_unbroadcast(g, b_shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (at, bt), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    at, bt = _target(a), _target(b)
+    a_shape, b_shape = a.shape, b.shape
+    ad = a.data if bt is not None else None
+    bd = b.data if at is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if at is not None:
+            at.accumulate_grad(_unbroadcast(g * bd, a_shape))
+        if bt is not None:
+            bt.accumulate_grad(_unbroadcast(g * ad, b_shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (at, bt), backward)
 
 
 def divide(x: Tensor, d: np.ndarray) -> Tensor:
     """``x / d`` for a constant array ``d`` that broadcasts to ``x``."""
     d = np.asarray(d, dtype=x.dtype)
     data = x.data / d
+    xt, x_shape = _target(x), x.shape
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(g / d, x.shape))
+        xt.accumulate_grad(_unbroadcast(g / d, x_shape))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     data = scale_fwd(x.data, s)
+    xt, dtype = _target(x), x.dtype
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * np.asarray(s, dtype=x.dtype))
+        xt.accumulate_grad(g * np.asarray(s, dtype=dtype))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def _linear_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -441,14 +550,33 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
     data = linear_fwd(x.data, w.data)
+    xt, wt = _target(x), _target(w)
+    xd = x.data if wt is not None else None
+    wd = w.data if xt is not None else None
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            w.accumulate_grad(_linear_weight_grad(x.data, g))
+        if xt is not None:
+            xt.accumulate_grad(g @ wd)
+        if wt is not None:
+            wt.accumulate_grad(_linear_weight_grad(xd, g))
 
-    return _make(data, (x, w), backward)
+    return _make(data, (xt, wt), backward)
+
+
+def _check_adapted(x, w, a, b) -> None:
+    """Raise ``ShapeError`` unless ``adapted_linear``'s operands (Tensors
+    or arrays) fit one another."""
+    if x.ndim not in (2, 3) or w.ndim != 2 or a.ndim != 2 or x.shape[-1] != w.shape[1] \
+            or a.shape[1] != w.shape[1] or b.shape != (w.shape[0], a.shape[0]):
+        raise ShapeError(f"adapted_linear operands disagree: x {x.shape}, W {w.shape}, "
+                         f"A {a.shape}, B {b.shape}")
+
+
+def _plain_adapted_linear(x: np.ndarray, w: Tensor, a: Tensor, b: Tensor, scaling: float,
+                          keep=None, inv_keep=None) -> np.ndarray:
+    """``plain.adapted_linear``: the tape op's operand check, then its kernel."""
+    _check_adapted(x, w, a, b)
+    return adapted_linear_fwd(x, w.data, a.data, b.data, scaling, keep, inv_keep)[0]
 
 
 def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
@@ -463,10 +591,7 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     parents the node keeps only the rank-wide product and the keep-draw
     packed one bit per entry; backward rebuilds the mask and ``x * mask``
     from them, and keeps none of the output-wide intermediates."""
-    if x.ndim not in (2, 3) or w.ndim != 2 or a.ndim != 2 or x.shape[-1] != w.shape[1] \
-            or a.shape[1] != w.shape[1] or b.shape != (w.shape[0], a.shape[0]):
-        raise ShapeError(f"adapted_linear operands disagree: x {x.shape}, W {w.shape}, "
-                         f"A {a.shape}, B {b.shape}")
+    _check_adapted(x, w, a, b)
     scaling = float(scaling)
     bits = None
     if keep is not None:
@@ -478,33 +603,41 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
         inv_keep = x.dtype.type(inv_keep)
         bits = np.packbits(keep)
     out, la = adapted_linear_fwd(x.data, w.data, a.data, b.data, scaling, keep, inv_keep)
+    xt, wt, at, bt = _target(x), _target(w), _target(a), _target(b)
+    x_shape, x_size, dtype = x.shape, x.size, x.dtype
+    xd = x.data if wt is not None or at is not None else None
+    wd = w.data if xt is not None else None
+    ad = a.data if xt is not None else None
+    bd = b.data if xt is not None or at is not None else None
+    if bt is None:
+        la = None
 
     # the composed graph's backward, in the order its reverse sweep runs it:
     # the base product first, then the scaled low-rank chain from B back to x
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            w.accumulate_grad(_linear_weight_grad(x.data, g))
-        if not (x.requires_grad or a.requires_grad or b.requires_grad):
+        if xt is not None:
+            xt.accumulate_grad(g @ wd)
+        if wt is not None:
+            wt.accumulate_grad(_linear_weight_grad(xd, g))
+        if xt is None and at is None and bt is None:
             return
         gl = g * np.asarray(scaling, dtype=g.dtype)
-        if b.requires_grad:
-            b.accumulate_grad(_linear_weight_grad(la, gl))
-        if x.requires_grad or a.requires_grad:
-            gla = gl @ b.data
+        if bt is not None:
+            bt.accumulate_grad(_linear_weight_grad(la, gl))
+        if xt is not None or at is not None:
+            gla = gl @ bd
             mask = None
             if bits is not None:
-                kept = np.unpackbits(bits, count=x.size).view(bool).reshape(x.shape)
-                mask = _dropout_mask(kept, inv_keep, x.dtype)
-            if a.requires_grad:
-                xa = x.data if mask is None else x.data * mask
-                a.accumulate_grad(_linear_weight_grad(xa, gla))
-            if x.requires_grad:
-                gx = gla @ a.data
-                x.accumulate_grad(gx if mask is None else gx * mask)
+                kept = np.unpackbits(bits, count=x_size).view(bool).reshape(x_shape)
+                mask = _dropout_mask(kept, inv_keep, dtype)
+            if at is not None:
+                xa = xd if mask is None else xd * mask
+                at.accumulate_grad(_linear_weight_grad(xa, gla))
+            if xt is not None:
+                gx = gla @ ad
+                xt.accumulate_grad(gx if mask is None else gx * mask)
 
-    return _make(out, (x, w, a, b), backward)
+    return _make(out, (xt, wt, at, bt), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -523,31 +656,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ra == rb > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    at, bt = _target(a), _target(b)
+    ad = a.data if bt is not None else None
+    bd = b.data if at is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if (ra, rb) == (3, 2) and a.dtype == g.dtype == np.float32:
+        if at is not None:
+            at.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
+        if bt is not None:
+            if (ra, rb) == (3, 2) and ad.dtype == g.dtype == np.float32:
                 # ``b`` is a transposed ``linear`` weight (a router's, as a
                 # (d, 1) column): the same product with the operands swapped
-                b.accumulate_grad(_linear_weight_grad(g, a.data))
+                bt.accumulate_grad(_linear_weight_grad(g, ad))
             elif (ra, rb) == (3, 2):
-                b.accumulate_grad(np.tensordot(a.data, g, axes=([0, 1], [0, 1])))
+                bt.accumulate_grad(np.tensordot(ad, g, axes=([0, 1], [0, 1])))
             else:
-                b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
+                bt.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
 
-    return _make(data, (a, b), backward)
+    return _make(data, (at, bt), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = sigmoid_fwd(x.data)
+    xt = _target(x)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out * (1.0 - out))
+        xt.accumulate_grad(g * out * (1.0 - out))
 
-    return _make(out, (x,), backward)
+    return _make(out, (xt,), backward)
 
 
 def softmax_rows(x: Tensor, mask=None) -> Tensor:
@@ -558,13 +694,13 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
     exact zeros. A fully masked row raises ``MaskError``.
     """
     out = softmax_rows_fwd(x.data, mask)
+    xt = _target(x)
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(out * (g - inner))
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        xt.accumulate_grad(out * (g - inner))
 
-    return _make(out, (x,), backward)
+    return _make(out, (xt,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tensor:
@@ -581,48 +717,58 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tenso
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     scale = float(scale)
     out, p = attention_fwd(q.data, k.data, v.data, scale, mask)
+    qt, kt, vt = _target(q), _target(k), _target(v)
+    qd = q.data if kt is not None else None
+    kd = k.data if qt is not None else None
+    vd = v.data if qt is not None or kt is not None else None
 
     # each gradient is the composed ops' expression, rounded in the same
     # order on the same layouts, computed in place on buffers made here
     def backward(g):
-        if v.requires_grad:
-            v.accumulate_grad(p.swapaxes(-1, -2) @ g)
-        if q.requires_grad or k.requires_grad:
-            gs = g @ v.data.swapaxes(-1, -2)
+        if vt is not None:
+            vt.accumulate_grad(p.swapaxes(-1, -2) @ g)
+        if qt is not None or kt is not None:
+            gs = g @ vd.swapaxes(-1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= np.asarray(scale, dtype=gs.dtype)
-            if q.requires_grad:
-                q.accumulate_grad(gs @ k.data)
-            if k.requires_grad:
-                k.accumulate_grad((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+            if qt is not None:
+                qt.accumulate_grad(gs @ kd)
+            if kt is not None:
+                kt.accumulate_grad((qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
-    return _make(out, (q, k, v), backward)
+    return _make(out, (qt, kt, vt), backward)
 
 
 def swiglu(g: Tensor, u: Tensor) -> Tensor:
     """The gated FFN's activation ``g * sigmoid(g) * u`` as one node; forward
-    and gradients match the composed ops bitwise."""
+    and gradients match the composed ops bitwise. The node keeps ``g`` and
+    ``u``, not ``sigmoid(g)``: backward forms it again with ``sigmoid_fwd``,
+    the same bytes."""
     if g.shape != u.shape:
         raise ShapeError(f"swiglu operands disagree: {g.shape} vs {u.shape}")
-    out, sig = swiglu_fwd(g.data, u.data)
+    out = swiglu_fwd(g.data, u.data)[0]
+    gt, ut = _target(g), _target(u)
+    gd = g.data
+    ud = u.data if gt is not None else None
 
     def backward(G):
-        if u.requires_grad:
-            gu = g.data * sig
+        sig = sigmoid_fwd(gd)
+        if ut is not None:
+            gu = gd * sig
             gu *= G
-            u.accumulate_grad(gu)
-        if g.requires_grad:
-            gg = G * u.data
-            gsig = gg * g.data
+            ut.accumulate_grad(gu)
+        if gt is not None:
+            gg = G * ud
+            gsig = gg * gd
             gsig *= sig
-            gsig *= 1.0 - sig
             gg *= sig
+            gsig *= np.subtract(1.0, sig, out=sig)
             # the product's and the sigmoid's terms, added as the graph adds them
-            g.accumulate_grad(gg)
-            g.accumulate_grad(gsig)
+            gt.accumulate_grad(gg)
+            gt.accumulate_grad(gsig)
 
-    return _make(out, (g, u), backward)
+    return _make(out, (gt, ut), backward)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -633,13 +779,13 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     if n == 0:
         raise ShapeError(f"mean over empty axis {axis} of shape {x.shape}")
     data = x.data.mean(axis=axis)
+    xt, x_shape, dtype = _target(x), x.shape, x.dtype
 
     def backward(g):
-        if x.requires_grad:
-            ge = np.expand_dims(g, axis) / np.asarray(n, dtype=x.dtype)
-            x.accumulate_grad(np.broadcast_to(ge, x.shape))
+        ge = np.expand_dims(g, axis) / np.asarray(n, dtype=dtype)
+        xt.accumulate_grad(np.broadcast_to(ge, x_shape))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
@@ -647,49 +793,49 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
     data = x.data.sum(axis=axis)
+    xt, x_shape = _target(x), x.shape
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.shape))
+        xt.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x_shape))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = x.data.transpose(axes)
     inv = tuple(axes.index(i) for i in range(len(axes)))
+    xt = _target(x)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.transpose(inv))
+        xt.accumulate_grad(g.transpose(inv))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     data = x.data.reshape(shape)
+    xt, x_shape = _target(x), x.shape
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+        xt.accumulate_grad(g.reshape(x_shape))
 
-    return _make(data, (x,), backward)
+    return _make(data, (xt,), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather; backward scatter-adds into the table."""
     ids = np.asarray(ids)
     data = embedding_fwd(table.data, ids)
+    tt, t_shape, dtype = _target(table), table.shape, table.dtype
 
     def backward(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-            table.accumulate_grad(acc)
+        acc = np.zeros(t_shape, dtype)
+        np.add.at(acc, ids.reshape(-1), g.reshape(-1, t_shape[1]))
+        tt.accumulate_grad(acc)
 
-    return _make(data, (table,), backward)
+    return _make(data, (tt,), backward)
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -697,17 +843,19 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     d = x.data
     n = d.shape[-1]
     data, r = rmsnorm_fwd(d, gain.data, eps)
+    xt, gt, g_dtype = _target(x), _target(gain), gain.dtype
+    gd = gain.data if xt is not None else None
 
     def backward(g):
-        gy = g * gain.data
-        if x.requires_grad:
+        if xt is not None:
+            gy = g * gd
             inner = (gy * d).sum(axis=-1, keepdims=True)
-            x.accumulate_grad(gy / r - d * inner / (n * r**3))
-        if gain.requires_grad:
+            xt.accumulate_grad(gy / r - d * inner / (n * r**3))
+        if gt is not None:
             gg = (g * (d / r)).reshape(-1, n).sum(axis=0)
-            gain.accumulate_grad(gg.astype(gain.dtype))
+            gt.accumulate_grad(gg.astype(g_dtype))
 
-    return _make(data, (x, gain), backward)
+    return _make(data, (xt, gt), backward)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -722,16 +870,16 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     ``g * cos - swap_pairs(g) * sin``.
     """
     out = rope_fwd(x.data, cos, sin)
+    xt = _target(x)
 
     def backward(g):
-        if x.requires_grad:
-            gx = np.multiply(g, cos, out=np.empty_like(g))
-            s = _swap_pairs(g)
-            s *= sin
-            gx -= s
-            x.accumulate_grad(gx)
+        gx = np.multiply(g, cos, out=np.empty_like(g))
+        s = _swap_pairs(g)
+        s *= sin
+        gx -= s
+        xt.accumulate_grad(gx)
 
-    return _make(out, (x,), backward)
+    return _make(out, (xt,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_mask=None) -> Tensor:
@@ -763,15 +911,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_mask=None) -> Tens
     lse = mx[:, 0] + np.log(np.exp(flat - mx).sum(axis=-1))
     nll = lse - flat[np.arange(tflat.shape[0]), tflat]
     data = np.asarray((nll * keep).sum() / n_kept, dtype=logits.dtype)
+    lt, l_shape, dtype = _target(logits), logits.shape, logits.dtype
 
     def backward(g):
-        if logits.requires_grad:
-            probs = np.exp(flat - lse[:, None])
-            probs[np.arange(tflat.shape[0]), tflat] -= 1.0
-            probs *= (keep / n_kept)[:, None]
-            logits.accumulate_grad((g * probs).reshape(logits.shape).astype(logits.dtype))
+        probs = np.exp(flat - lse[:, None])
+        probs[np.arange(tflat.shape[0]), tflat] -= 1.0
+        probs *= (keep / n_kept)[:, None]
+        lt.accumulate_grad((g * probs).reshape(l_shape).astype(dtype))
 
-    return _make(data, (logits,), backward)
+    return _make(data, (lt,), backward)
 
 
 def parameters_norm_sq(params: Iterable[Tensor]) -> Tensor:
@@ -793,8 +941,7 @@ plain = SimpleNamespace(
     lift=lambda x: x.data if isinstance(x, Tensor) else x,
     add=np.add,
     linear=lambda x, w: linear_fwd(x, w.data),
-    adapted_linear=lambda x, w, a, b, scaling, keep=None, inv_keep=None: adapted_linear_fwd(
-        x, w.data, a.data, b.data, scaling, keep, inv_keep)[0],
+    adapted_linear=_plain_adapted_linear,
     attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
     swiglu=lambda g, u: swiglu_fwd(g, u)[0],
     transpose=lambda x, axes: x.transpose(axes),

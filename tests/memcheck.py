@@ -1,9 +1,12 @@
-"""Bytes a tape node keeps alive, measured with ``tracemalloc``.
+"""Bytes a tape node keeps alive, and the peak of a call, measured with
+``tracemalloc``.
 
-Plain Python, no knowledge of the tape: runs a builder and reports how much
-traced memory is still allocated once it has returned, with its result held.
-Arrays the builder made and dropped do not count; arrays its result keeps
-(a node's output, the values its backward closure holds) do.
+Plain Python, no knowledge of the tape. ``retained_bytes`` runs a builder
+and reports how much traced memory is still allocated once it has
+returned, with its result held: arrays the builder made and dropped do not
+count; arrays its result keeps (a node's output, the values its backward
+closure holds) do. ``peak_bytes`` reports the most traced memory the call
+held at any one time.
 """
 
 import gc
@@ -29,3 +32,18 @@ def retained_bytes(build):
     finally:
         tracemalloc.stop()
     return result, held
+
+
+def peak_bytes(build):
+    """Run ``build()`` and return its result and the traced peak of the
+    call: the most bytes it held allocated at once, beyond what was
+    allocated before it (its inputs)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -108,6 +108,40 @@ class TestAdaptedMatmul:
             L.adapted_matmul(T, x, w, ad, dropout=0.1)
 
 
+class TestAdaptedProject:
+    def test_checks_each_adapter_once_when_built(self, monkeypatch):
+        cfg, w = tiny()
+        adapters = L.init_adapters(w, rank=2, rng=np.random.default_rng(0))
+        calls = []
+        check = L.check_fits
+        monkeypatch.setattr(L, "check_fits", lambda *a: calls.append(a) or check(*a))
+        project = L.adapted_project(adapters, dropout=0.1, rng=np.random.default_rng(1))
+        assert len(calls) == len(adapters.adapters)
+        toks = np.arange(12).reshape(2, 6) % cfg.vocab_size
+        with T.no_grad():
+            M.forward_full(cfg, w, toks, project=project)
+        adapters.set_requires_grad(True)
+        M.forward_full(cfg, w, toks, project=project)
+        assert len(calls) == len(adapters.adapters)
+
+    def test_adapter_that_does_not_fit_itself_is_refused_when_built(self):
+        cfg, w = tiny()
+        adapters = L.init_adapters(w, rank=2, rng=np.random.default_rng(0))
+        adapters.adapters[(1, "wo")].rank = 3  # its factors are rank 2
+        with pytest.raises(ShapeError):
+            L.adapted_project(adapters)
+
+    @pytest.mark.parametrize("ops", [T, T.plain], ids=["tape", "plain"])
+    def test_misfit_weight_raises_a_shape_error_on_every_call(self, ops):
+        ad = random_adapter(6, 4, rank=2)
+        adapters = L.AdapterSet(rank=2, lora_alpha=32.0, adapters={(0, "wq"): ad})
+        project = L.adapted_project(adapters)
+        x = ops.lift(T.Tensor(np.zeros((1, 2, 4), dtype=np.float32)))
+        for _ in range(2):
+            with pytest.raises(ShapeError):
+                project(ops, x, T.Tensor(np.zeros((8, 4), dtype=np.float32)), 0, "wq")
+
+
 class TestAdapterSet:
     def test_covers_all_targets(self):
         cfg, w = tiny()

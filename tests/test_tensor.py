@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -689,18 +691,19 @@ class TestAutodiffEngine:
     @staticmethod
     def _topo(node, seen=None, out=None):
         """Interior nodes in the engine's sweep order, reversed: a post-order
-        walk that visits parents last to first, as its stack pops them."""
+        walk over ``Node.parents`` that visits parents last to first, as its
+        stack pops them; leaves and operands without a gradient end it."""
         seen, out = (set(), []) if seen is None else (seen, out)
-        if node._backward is not None and id(node) not in seen:
+        if isinstance(node, T.Node) and id(node) not in seen:
             seen.add(id(node))
-            for p in reversed(node._parents):
+            for p in reversed(node.parents):
                 TestAutodiffEngine._topo(p, seen, out)
             out.append(node)
         return out
 
     def test_only_leaves_keep_gradients(self):
         loss, leaves = self._graph()
-        interior = self._topo(loss)
+        interior = self._topo(loss._node)
         assert len(interior) == 7
         loss.backward()
         assert all(node.grad is None for node in interior)
@@ -708,8 +711,8 @@ class TestAutodiffEngine:
         # the same sweep keeping every node's gradient, as the engine once did
         kept, kept_leaves = self._graph()
         kept.accumulate_grad(np.ones_like(kept.data))
-        for node in reversed(self._topo(kept)):
-            node._backward(node.grad)
+        for node in reversed(self._topo(kept._node)):
+            node.backward(node.grad)
         for got, want in zip(leaves, kept_leaves):
             assert got.grad.tobytes() == want.grad.tobytes()
 
@@ -785,7 +788,92 @@ class TestAutodiffEngine:
         x = T.Tensor(rand64(2, 2), requires_grad=True)
         with T.no_grad():
             out = T.mul(x, x)
-        assert not out.requires_grad and out._parents == ()
+        assert not out.requires_grad and out._node is None
+
+    def test_a_node_keeps_its_outputs_layout_not_the_output(self):
+        x = T.Tensor(rand64(3, 4, 5), requires_grad=True)
+        y = T.transpose(T.scale(x, 2.0), (1, 0, 2))
+        node = y._node
+        assert (node.shape, node.dtype, node.strides) == (y.shape, y.dtype, y.data.strides)
+        loss = T.sum_axis(T.reshape(y, (60,)), 0)  # the reshape copies the view
+        scaled = weakref.ref(y.data.base)
+        del y
+        gc.collect()
+        assert scaled() is None
+        loss.backward()
+        assert x.grad.tobytes() == np.full((3, 4, 5), 2.0).tobytes()
+
+    def test_a_node_built_while_w_was_frozen_keeps_no_x(self):
+        w = T.Tensor(rand64(5, 4))
+        x0 = T.Tensor(rand64(3, 4), requires_grad=True)
+
+        def build():
+            x = T.scale(x0, 1.0)  # interior, so only the graph could keep it
+            return T.linear(x, w), weakref.ref(x.data)
+
+        out, x_ref = build()
+        gc.collect()
+        assert x_ref() is None
+        w.requires_grad = True  # too late: the node decided when it was built
+        out.backward(np.ones(out.shape))
+        assert w.grad is None and x0.grad.tobytes() == (np.ones((3, 5)) @ w.data).tobytes()
+        kept, x_ref = build()
+        gc.collect()
+        assert x_ref() is not None  # W's gradient reads x
+
+    @pytest.mark.parametrize("build", [
+        lambda t: T.add(t(2, 3), t(2, 3)), lambda t: T.mul(t(2, 3), t(2, 3)),
+        lambda t: T.divide(t(2, 3), np.ones(3)), lambda t: T.scale(t(2, 3), 2.0),
+        lambda t: T.linear(t(2, 3), t(4, 3)),
+        lambda t: T.adapted_linear(t(2, 3), t(4, 3), t(2, 3), t(4, 2), 1.0,
+                                   np.ones((2, 3), bool), 1.0),
+        lambda t: T.matmul(t(2, 3), t(3, 4)), lambda t: T.sigmoid(t(2, 3)),
+        lambda t: T.softmax_rows(t(2, 3)),
+        lambda t: T.attention(t(1, 1, 2, 4), t(1, 1, 2, 4), t(1, 1, 2, 4), 0.5),
+        lambda t: T.swiglu(t(2, 3), t(2, 3)), lambda t: T.mean_axis(t(2, 3), 1),
+        lambda t: T.sum_axis(t(2, 3), 1), lambda t: T.transpose(t(2, 3), (1, 0)),
+        lambda t: T.reshape(t(2, 3), (3, 2)), lambda t: T.embedding(t(5, 3), np.array([1, 2])),
+        lambda t: T.rmsnorm(t(2, 3), t(3)),
+        lambda t: T.rope(t(2, 4), np.ones((2, 4)), np.ones((2, 4))),
+        lambda t: T.cross_entropy(t(2, 5), np.array([1, 2]))])
+    def test_no_backward_keeps_an_operand_tensor(self, build):
+        # a Tensor in the closure would keep its whole output array alive
+        out = build(lambda *shape: T.scale(T.Tensor(rand64(*shape), requires_grad=True), 1.0))
+        held = [c.cell_contents for c in out._node.backward.__closure__]
+        assert not any(isinstance(c, T.Tensor) for c in held)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_swiglu_gradients_equal_the_stored_sigmoid_expression(self, dtype):
+        rng = np.random.default_rng(5)
+        g0, u0, G = (rng.normal(scale=4.0, size=(4, 7, 24)).astype(dtype) for _ in range(3))
+        g0[0, 0, :4] = [-40.0, 40.0, 0.0, -0.0]  # saturated and signed-zero entries
+        g, u = T.Tensor(g0, requires_grad=True), T.Tensor(u0, requires_grad=True)
+        T.swiglu(g, u).backward(G)
+        # the node's backward as it was, over the sigmoid its forward kept
+        sig = T.swiglu_fwd(g0, u0)[1]
+        gu = g0 * sig
+        gu *= G
+        gg = G * u0
+        gsig = gg * g0
+        gsig *= sig
+        gsig *= 1.0 - sig
+        gg *= sig
+        assert u.grad.tobytes() == gu.tobytes()
+        assert g.grad.tobytes() == (gg + gsig).tobytes()
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a, lambda a: np.asfortranarray(a), lambda a: a.transpose(2, 0, 1),
+        lambda a: a.transpose(1, 0, 2), lambda a: a[:, ::2], lambda a: a[::-1, :, 1:],
+        lambda a: a[:, 1:2].transpose(1, 2, 0), lambda a: a[:, :, :1],
+        lambda a: np.broadcast_to(a[:, :1], a.shape), lambda a: a[:, :0],
+        lambda a: a.reshape(3, 4, 5, 1).transpose(3, 1, 0, 2), lambda a: a[0, 0],
+        lambda a: a[0].T, lambda a: a[0, 0, 0]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_buffers_take_the_layout_numpy_gives_the_output(self, view, dtype):
+        d = view(np.zeros((3, 4, 5), dtype=dtype))
+        got = T._empty_like_layout(d.shape, d.dtype, d.strides)
+        want = np.empty_like(d)
+        assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
 
     def test_scalar_backward_seed(self):
         x = T.Tensor(rand64(3), requires_grad=True)
