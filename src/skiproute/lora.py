@@ -110,15 +110,9 @@ def adapted_matmul(ops, x, base_weight: Tensor, adapter: LoraAdapter,
                    dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
     """x @ W.T plus the scaled low-rank path, whose input entries are
     dropped at rate ``dropout`` (drawn from ``rng``), over the ops
-    namespace ``ops`` (``tensor`` on the tape, ``tensor.plain`` without)."""
-    check_fits(adapter, base_weight.shape)
-    return _adapted(ops, x, base_weight, adapter, dropout, rng)
-
-
-def _adapted(ops, x, base_weight: Tensor, adapter: LoraAdapter, dropout: float,
-             rng: Optional[np.random.Generator]):
-    """``adapted_matmul`` for an adapter already checked on its own; the op
-    checks that it fits ``base_weight``."""
+    namespace ``ops`` (``tensor`` on the tape, ``tensor.plain`` without).
+    The op raises ``ShapeError`` when the factors do not fit ``base_weight``;
+    the adapter's own consistency is checked where it is made or loaded."""
     kept = inv_keep = None
     if dropout > 0.0:
         if rng is None:
@@ -146,7 +140,7 @@ def adapted_project(adapters: AdapterSet, dropout: float = 0.0,
         ad = adapters.get(layer_index, name)
         if ad is None:
             return ops.linear(x, w)
-        return _adapted(ops, x, w, ad, dropout, rng)
+        return adapted_matmul(ops, x, w, ad, dropout, rng)
 
     return project
 

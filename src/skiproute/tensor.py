@@ -14,9 +14,10 @@ Conventions:
   - float32 by default; build tensors as float64 for gradient checks.
   - gradient accumulation is additive; call ``zero_grad`` between passes.
   - gradients accumulate out of place: a node's first gradient is kept by
-    reference when it already has ``data``'s dtype and layout, so a
-    ``.grad`` may share memory with another node's gradient (``add`` hands
-    one array to both parents, ``reshape``/``transpose`` hand views).
+    reference when it already has ``data``'s dtype and layout (else it is
+    copied into a C-order buffer), so a ``.grad`` may share memory with
+    another node's gradient (``add`` hands one array to both parents,
+    ``reshape``/``transpose`` hand views).
     Treat every ``.grad`` as read-only.
   - only leaves keep ``.grad`` after a backward pass: an interior node
     drops its gradient as soon as it has passed it to its parents, so the
@@ -25,7 +26,7 @@ Conventions:
     requires grad holds a ``Node``: its operands' gradient targets, its
     backward closure, its pending gradient, and its output's shape, dtype and
     strides (what ``accumulate_grad`` needs to keep a gradient by
-    reference or to lay one out), never the output array. The closure
+    reference), never the output array. The closure
     keeps only the arrays its backward reads, chosen when the op is built
     from which operands then require grad: a ``linear`` over a frozen
     weight keeps ``W`` but not ``x``, ``rope``, ``add``, ``reshape`` and
@@ -38,7 +39,6 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
-from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -189,60 +189,18 @@ class Node:
         self.grad = _accumulated(self.grad, g, self.shape, self.dtype, self.strides)
 
 
-def _is_contiguous(shape: tuple, strides: tuple, itemsize: int, axes) -> bool:
-    """numpy's contiguity flag for ``axes`` running from the fastest axis
-    out: axes of length 1 have any stride, and an empty array is always
-    contiguous."""
-    if 0 in shape:
-        return True
-    step = itemsize
-    for i in axes:
-        if shape[i] != 1:
-            if strides[i] != step:
-                return False
-            step *= shape[i]
-    return True
-
-
-@lru_cache(maxsize=512)
-def _allocation_order(shape: tuple, strides: tuple, itemsize: int):
-    """How ``np.empty_like`` lays out an array like one of this shape and
-    strides: None for C order, "F" for Fortran order, otherwise the axes
-    from the largest absolute stride to the smallest (ties in axis order)
-    with the transpose that puts them back."""
-    n = len(shape)
-    if n <= 1 or _is_contiguous(shape, strides, itemsize, range(n - 1, -1, -1)):
-        return None
-    if _is_contiguous(shape, strides, itemsize, range(n)):
-        return "F"
-    perm = tuple(sorted(range(n), key=lambda i: -abs(strides[i])))
-    return perm, tuple(perm.index(i) for i in range(n))
-
-
-def _empty_like_layout(shape: tuple, dtype, strides: tuple) -> np.ndarray:
-    """``np.empty_like`` of an array of this shape, dtype and strides,
-    without the array."""
-    order = _allocation_order(shape, strides, dtype.itemsize)
-    if order is None:
-        return np.empty(shape, dtype)
-    if order == "F":
-        return np.empty(shape, dtype, order="F")
-    perm, inverse = order
-    return np.empty([shape[i] for i in perm], dtype).transpose(inverse)
-
-
 def _accumulated(held: Optional[np.ndarray], g: np.ndarray, shape: tuple, dtype,
                  strides: tuple) -> np.ndarray:
-    """The gradient ``held + g`` of an array of this layout, formed out of
-    place. A first gradient is kept by reference when it already has the
-    array's dtype and layout; otherwise it is copied into that layout."""
+    """The gradient ``held + g`` of an array of this shape, dtype and
+    strides, formed out of place. A first gradient is kept by reference
+    when it already has the array's dtype and layout; otherwise it is
+    copied into a new C-order buffer."""
     if held is not None:
         # never in place: the held array may be another node's gradient
-        return np.add(held, g, out=_empty_like_layout(shape, dtype, strides))
+        return np.add(held, g, out=np.empty(shape, dtype))
     if g.dtype == dtype and g.shape == shape and g.strides == strides and g.flags.writeable:
         return g
-    # in data's layout, so later products read it as they read data
-    out = _empty_like_layout(shape, dtype, strides)
+    out = np.empty(shape, dtype)
     out[...] = g
     return out
 
@@ -407,13 +365,12 @@ def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float,
     return s @ v, s
 
 
-def swiglu_fwd(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``g * sigmoid(g) * u``, the gated FFN's activation, and ``sigmoid(g)``
-    (for backward); the product is formed in the output's own buffer."""
-    sig = sigmoid_fwd(g)
-    out = g * sig
+def swiglu_fwd(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``g * sigmoid(g) * u``, the gated FFN's activation, formed in the
+    output's own buffer."""
+    out = g * sigmoid_fwd(g)
     out *= u
-    return out, sig
+    return out
 
 
 def embedding_fwd(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -747,7 +704,7 @@ def swiglu(g: Tensor, u: Tensor) -> Tensor:
     the same bytes."""
     if g.shape != u.shape:
         raise ShapeError(f"swiglu operands disagree: {g.shape} vs {u.shape}")
-    out = swiglu_fwd(g.data, u.data)[0]
+    out = swiglu_fwd(g.data, u.data)
     gt, ut = _target(g), _target(u)
     gd = g.data
     ud = u.data if gt is not None else None
@@ -943,7 +900,7 @@ plain = SimpleNamespace(
     linear=lambda x, w: linear_fwd(x, w.data),
     adapted_linear=_plain_adapted_linear,
     attention=lambda q, k, v, scale, mask=None: attention_fwd(q, k, v, scale, mask)[0],
-    swiglu=lambda g, u: swiglu_fwd(g, u)[0],
+    swiglu=swiglu_fwd,
     transpose=lambda x, axes: x.transpose(axes),
     reshape=lambda x, shape: x.reshape(shape),
     embedding=lambda table, ids: embedding_fwd(table.data, np.asarray(ids)),

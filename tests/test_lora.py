@@ -124,6 +124,18 @@ class TestAdaptedProject:
         M.forward_full(cfg, w, toks, project=project)
         assert len(calls) == len(adapters.adapters)
 
+    def test_every_adapted_projection_runs_through_adapted_matmul(self, monkeypatch):
+        # a wrapper set on the module, as a tracer sets one, sees every call
+        cfg, w = tiny()
+        adapters = L.init_adapters(w, rank=2, rng=np.random.default_rng(0))
+        calls = []
+        inner = L.adapted_matmul
+        monkeypatch.setattr(L, "adapted_matmul", lambda *a: calls.append(a) or inner(*a))
+        project = L.adapted_project(adapters, dropout=0.1, rng=np.random.default_rng(1))
+        toks = np.arange(12).reshape(2, 6) % cfg.vocab_size
+        M.forward_full(cfg, w, toks, project=project)
+        assert len(calls) == len(adapters.adapters)
+
     def test_adapter_that_does_not_fit_itself_is_refused_when_built(self):
         cfg, w = tiny()
         adapters = L.init_adapters(w, rank=2, rng=np.random.default_rng(0))

@@ -850,7 +850,7 @@ class TestAutodiffEngine:
         g, u = T.Tensor(g0, requires_grad=True), T.Tensor(u0, requires_grad=True)
         T.swiglu(g, u).backward(G)
         # the node's backward as it was, over the sigmoid its forward kept
-        sig = T.swiglu_fwd(g0, u0)[1]
+        sig = T.sigmoid_fwd(g0)
         gu = g0 * sig
         gu *= G
         gg = G * u0
@@ -860,20 +860,6 @@ class TestAutodiffEngine:
         gg *= sig
         assert u.grad.tobytes() == gu.tobytes()
         assert g.grad.tobytes() == (gg + gsig).tobytes()
-
-    @pytest.mark.parametrize("view", [
-        lambda a: a, lambda a: np.asfortranarray(a), lambda a: a.transpose(2, 0, 1),
-        lambda a: a.transpose(1, 0, 2), lambda a: a[:, ::2], lambda a: a[::-1, :, 1:],
-        lambda a: a[:, 1:2].transpose(1, 2, 0), lambda a: a[:, :, :1],
-        lambda a: np.broadcast_to(a[:, :1], a.shape), lambda a: a[:, :0],
-        lambda a: a.reshape(3, 4, 5, 1).transpose(3, 1, 0, 2), lambda a: a[0, 0],
-        lambda a: a[0].T, lambda a: a[0, 0, 0]])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gradient_buffers_take_the_layout_numpy_gives_the_output(self, view, dtype):
-        d = view(np.zeros((3, 4, 5), dtype=dtype))
-        got = T._empty_like_layout(d.shape, d.dtype, d.strides)
-        want = np.empty_like(d)
-        assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
 
     def test_scalar_backward_seed(self):
         x = T.Tensor(rand64(3), requires_grad=True)

@@ -500,8 +500,7 @@ def _zero_fill_accumulate(self, g):
 def _zero_fill_node_accumulate(self, g):
     # a graph node keeps its output's layout, not the output
     if self.grad is None:
-        self.grad = T._empty_like_layout(self.shape, self.dtype, self.strides)
-        self.grad[...] = 0
+        self.grad = np.zeros(self.shape, self.dtype)
     self.grad += g
 
 
