@@ -322,10 +322,11 @@ def cmd_compare(args) -> int:
     if args.retained is not None:
         # a count the model cannot hold is refused before any prompt is routed
         O.unified_skip_layers(m, args.retained)
+    prompts = [frame_prompt(p) for p, _ in pairs]
     routed_outputs = []
     skip_counts = []
-    for prompt, _ in pairs:
-        result, decision = run_routed(frame_prompt(prompt))
+    for prompt_ids in prompts:
+        result, decision = run_routed(prompt_ids)
         routed_outputs.append(result.tokens)
         skip_counts.append(len(decision.skip_set))
 
@@ -335,22 +336,15 @@ def cmd_compare(args) -> int:
         retained = int(np.clip(m - round(float(np.mean(skip_counts))), 2, m))
     unified_skip = O.unified_skip_layers(m, retained)
 
-    def full_tokens(prompt_ids):
-        return M.generate(config, weights, prompt_ids, budget,
-                          stop_at=EOS).tokens
-
-    def unified_tokens(prompt_ids):
-        return M.generate(config, weights, prompt_ids, budget,
-                          skip_set=unified_skip, prefill_skip=(),
-                          stop_at=EOS).tokens
-
+    # full and unified quality run the base model; routed runs with --adapters
     methods = {
-        "full": [full_tokens(frame_prompt(p)) for p, _ in pairs],
+        "full": O.greedy_outputs(config, weights, prompts, budget),
         "routed": routed_outputs,
-        "unified": [unified_tokens(frame_prompt(p)) for p, _ in pairs],
+        "unified": O.greedy_outputs(config, weights, prompts, budget,
+                                    unified_skip),
     }
 
-    bench_prompt = frame_prompt(pairs[0][0])
+    bench_prompt = prompts[0]
     # every configuration runs with the same projection, so the ratios
     # measure skipping alone and not the adapters' cost
     report = B.LatencyReport(B.measure_tpot({

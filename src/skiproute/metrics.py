@@ -118,7 +118,14 @@ def read_decision_log(path: str) -> list[SkipDecision]:
     for row in rows[1:]:
         if len(row) != 1 + 2 * m:
             raise DatasetError(f"decision row with {len(row)} fields, wanted {1 + 2 * m}")
-        rho = tuple(float(v) for v in row[1:1 + m])
-        passed = tuple(v == "0" for v in row[1 + m:])
-        out.append(SkipDecision(rho=rho, passed=passed))
+        try:
+            decision = SkipDecision.from_rhos([float(v) for v in row[1:1 + m]])
+        except ValueError:
+            raise DatasetError(f"decision row {row[0]}: a rho is not a number") from None
+        flags = row[1 + m:]
+        if any(f not in ("0", "1") for f in flags):
+            raise DatasetError(f"decision row {row[0]}: a skip flag other than 0 or 1")
+        if tuple(f == "0" for f in flags) != decision.passed:
+            raise DatasetError(f"decision row {row[0]}: a skip flag contradicts its rho")
+        out.append(decision)
     return out

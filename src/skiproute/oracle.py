@@ -166,29 +166,35 @@ def write_oracle_csv(path: str, result: OracleResult) -> None:
 # ------------------------------------------------------ quality functions
 
 
+def greedy_outputs(config: ModelConfig, weights: ModelWeights,
+                   prompts: Sequence[Sequence[int]], max_new_tokens: int,
+                   skip_set: frozenset = frozenset(), project=None
+                   ) -> list[tuple[int, ...]]:
+    """Greedy tokens of each framed prompt under the deployment protocol:
+    full prefill, decoding under ``skip_set``, stop at EOS."""
+    return [tuple(M.generate(config, weights, p, max_new_tokens,
+                             skip_set=skip_set, prefill_skip=(), stop_at=EOS,
+                             project=project).tokens)
+            for p in prompts]
+
+
 def golden_exact_match(config: ModelConfig, weights: ModelWeights,
                        prompts: Sequence[Sequence[int]], max_new_tokens: int,
                        project=None) -> QualityFn:
     """Fraction of prompts whose greedy output matches the full model's.
 
     The full-depth run is the reference, so the empty skip set always
-    scores 1.0 and the measure needs no labels. Decoding follows the
-    deployment protocol: full prefill, skipped decode.
+    scores 1.0 and the measure needs no labels.
     """
     if not prompts:
         raise ConfigError("need at least one prompt")
-    golden = [tuple(M.generate(config, weights, p, max_new_tokens,
-                               stop_at=EOS, project=project).tokens)
-              for p in prompts]
+    golden = greedy_outputs(config, weights, prompts, max_new_tokens,
+                            project=project)
 
     def quality(skip_set: frozenset) -> float:
-        hits = 0
-        for p, gold in zip(prompts, golden):
-            out = M.generate(config, weights, p, max_new_tokens,
-                             skip_set=skip_set, prefill_skip=(),
-                             stop_at=EOS, project=project)
-            hits += tuple(out.tokens) == gold
-        return hits / len(golden)
+        outs = greedy_outputs(config, weights, prompts, max_new_tokens,
+                              skip_set, project)
+        return sum(o == g for o, g in zip(outs, golden)) / len(golden)
 
     return quality
 
@@ -196,18 +202,17 @@ def golden_exact_match(config: ModelConfig, weights: ModelWeights,
 def dataset_exact_match(config: ModelConfig, weights: ModelWeights,
                         pairs: Sequence[Pair], max_new_tokens: int,
                         project=None) -> QualityFn:
-    """Fraction of pairs reproduced byte for byte (full prefill, skipped decode)."""
+    """Fraction of pairs whose greedy output reproduces the response byte
+    for byte."""
     if not pairs:
         raise ConfigError("need at least one pair")
+    prompts = [frame_prompt(prompt) for prompt, _ in pairs]
 
     def quality(skip_set: frozenset) -> float:
-        hits = 0
-        for prompt, response in pairs:
-            out = M.generate(config, weights, frame_prompt(prompt),
-                             max_new_tokens, skip_set=skip_set,
-                             prefill_skip=(), stop_at=EOS, project=project)
-            hits += detokenize(out.tokens) == response
-        return hits / len(pairs)
+        outs = greedy_outputs(config, weights, prompts, max_new_tokens,
+                              skip_set, project)
+        return sum(detokenize(o) == response
+                   for o, (_, response) in zip(outs, pairs)) / len(pairs)
 
     return quality
 

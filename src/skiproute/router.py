@@ -17,7 +17,8 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, MaskError, ShapeError
-# sample_token is unused here but stays importable from this module.
+# sample_token is re-exported because the benchmark's tracer wraps it by
+# this name (tests/test_trace_guard.py pins every name the tracer wraps).
 from .model import (GenerationResult, KVCache, ModelConfig, ModelWeights,
                     SamplerConfig, sample_token)
 from .tensor import Tensor
@@ -62,22 +63,17 @@ def init_routers(config: ModelConfig, dtype=np.float32) -> RouterBank:
 
 @dataclass(frozen=True)
 class SkipDecision:
-    """Frozen per-layer outcome of one prefill: probability and pass flag."""
+    """Frozen per-layer outcome of one prefill; ρ fixes each pass flag."""
 
     rho: tuple[float, ...]
-    passed: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.rho) != len(self.passed):
-            raise ShapeError("rho and passed lengths differ")
-        for r, p in zip(self.rho, self.passed):
-            if p != (r >= PASS_THRESHOLD):
-                raise ConfigError(f"pass flag {p} contradicts probability {r}")
 
     @classmethod
     def from_rhos(cls, rhos: Sequence[float]) -> "SkipDecision":
-        rho = tuple(float(r) for r in rhos)
-        return cls(rho=rho, passed=tuple(r >= PASS_THRESHOLD for r in rho))
+        return cls(rho=tuple(float(r) for r in rhos))
+
+    @property
+    def passed(self) -> tuple[bool, ...]:
+        return tuple(r >= PASS_THRESHOLD for r in self.rho)
 
     @property
     def skip_set(self) -> frozenset[int]:
@@ -95,24 +91,30 @@ class SkipDecision:
 
 def router_probability(router: Router, hidden: Tensor,
                        attention_mask: Optional[np.ndarray] = None) -> Tensor:
-    """Per-sequence mean over valid tokens of sigmoid(weight . token)."""
+    """Per-sequence mean over valid tokens of sigmoid(weight . token); with
+    no mask every position is valid."""
     b, n, d = hidden.shape
+    if n == 0:
+        raise ShapeError("router saw sequences with no positions")
     scores = T.reshape(T.matmul(hidden, T.reshape(router.weight, (d, 1))), (b, n))
     probs = T.sigmoid(scores)
-    if attention_mask is None:
-        return T.mean_axis(probs, 1)
-    mask = (np.asarray(attention_mask) != 0)
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise MaskError("router saw a sequence with every token masked")
-    kept = T.mul(probs, Tensor(mask.astype(probs.dtype)))
-    # divide, not multiply by a rounded 1/count: n * 0.5 / n is exactly 0.5
-    return T.divide(T.sum_axis(kept, 1), counts)
+    counts = np.full(b, n)
+    if attention_mask is not None:
+        mask = (np.asarray(attention_mask) != 0)
+        counts = mask.sum(axis=1)
+        if np.any(counts == 0):
+            raise MaskError("router saw a sequence with every token masked")
+        probs = T.mul(probs, Tensor(mask.astype(probs.dtype)))
+    # divide, not multiply by a rounded 1/count: n * 0.5 / n is exactly 0.5;
+    # the sum divided by the count has the bytes of numpy's mean
+    return T.divide(T.sum_axis(probs, 1), counts)
 
 
 def unify_batch(rhos: Tensor) -> Tensor:
     """One probability for the whole batch: the arithmetic mean."""
-    return T.mean_axis(rhos, 0)
+    if rhos.shape[0] == 0:
+        raise ShapeError("no rows to unify")
+    return T.divide(T.sum_axis(rhos, 0), rhos.shape[0])
 
 
 def soft_layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,

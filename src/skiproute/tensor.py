@@ -728,23 +728,6 @@ def swiglu(g: Tensor, u: Tensor) -> Tensor:
     return _make(out, (gt, ut), backward)
 
 
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} out of range for shape {x.shape}")
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    if n == 0:
-        raise ShapeError(f"mean over empty axis {axis} of shape {x.shape}")
-    data = x.data.mean(axis=axis)
-    xt, x_shape, dtype = _target(x), x.shape, x.dtype
-
-    def backward(g):
-        ge = np.expand_dims(g, axis) / np.asarray(n, dtype=dtype)
-        xt.accumulate_grad(np.broadcast_to(ge, x_shape))
-
-    return _make(data, (xt,), backward)
-
-
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for shape {x.shape}")

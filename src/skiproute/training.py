@@ -317,6 +317,7 @@ def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ..
             window_rho += rho_vals
             window_n += 1
             bd.total.backward(np.asarray(1.0 / tc.accum_steps, dtype=bd.total.dtype))
+            del bd  # free the step's graph before the optimizer step and validation
             micro += 1
             if micro % tc.accum_steps == 0:
                 opt.step(cosine_lr(opt_steps, total_opt_steps, tc.lr_min, tc.lr_max))

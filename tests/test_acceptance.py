@@ -226,7 +226,6 @@ def test_criterion_1_gradient_suite():
         "sigmoid": (lambda a: T.sigmoid(a), [x23]),
         "softmax_rows": (lambda a: T.softmax_rows(a), [x25]),
         "softmax_rows_masked": (lambda a: T.softmax_rows(a, soft_mask), [x25]),
-        "mean_axis": (lambda a: T.mean_axis(a, 1), [x234]),
         "sum_axis": (lambda a: T.sum_axis(a, 0), [x234]),
         "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [x234]),
         "reshape": (lambda a: T.reshape(a, (3, 8)), [x234]),

@@ -256,6 +256,14 @@ def test_stats_and_reaggregation(workdir, capsys):
     assert "distinct skip sets: " in direct and "margin quartiles " in direct
 
 
+def test_malformed_decision_log_exits_two(workdir, tmp_path, capsys):
+    raw = tmp_path / "junk.csv"
+    raw.write_text("prompt,rho_0,skip_0\n0,abc,1\n")
+    assert main(["stats", "--config", workdir["cfg"], "--from-raw", str(raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a number" in err and "Traceback" not in err
+
+
 def test_stats_dump_matches_per_prompt_prefill(workdir, capsys):
     dump = workdir["root"] / "raw_all.csv"
     assert main(["stats", "--config", workdir["cfg"], "--model", workdir["pre"],

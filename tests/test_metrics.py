@@ -147,6 +147,17 @@ def test_decision_log_rejects_junk(tmp_path):
     path.write_text("prompt,rho_0,skip_0\n0,0.25\n")
     with pytest.raises(DatasetError):
         X.read_decision_log(str(path))
+    header = "prompt,rho_0,rho_1,skip_0,skip_1\n"
+    for row, reason in [("0,abc,0.7,1,0", "not a number"),
+                        ("0,0.25,0.7,1,2", "other than 0 or 1"),
+                        ("0,0.25,0.7,yes,0", "other than 0 or 1"),
+                        ("0,0.25,0.7,0,0", "contradicts"),
+                        ("0,0.25,0.7,1,1", "contradicts")]:
+        path.write_text(header + row + "\n")
+        with pytest.raises(DatasetError, match=reason):
+            X.read_decision_log(str(path))
+    path.write_text(header + "0,0.25,0.5,1,0\n")
+    assert X.read_decision_log(str(path)) == [SkipDecision(rho=(0.25, 0.5))]
 
 
 # ------------------------------------------------------------------ tpot

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,12 +94,109 @@ class TestUnifyAndDecision:
         assert d.skip_set == {1}
         assert d.skip_fraction == pytest.approx(1 / 3)
 
-    def test_decision_is_immutable_and_checked(self):
-        d = R.SkipDecision.from_rhos([0.7])
+    def test_decision_is_immutable_and_derives_its_flags(self):
+        d = R.SkipDecision.from_rhos([0.7, 0.2])
         with pytest.raises(AttributeError):
             d.rho = (0.1,)
-        with pytest.raises(ConfigError):
-            R.SkipDecision(rho=(0.7,), passed=(False,))
+        with pytest.raises(AttributeError):
+            d.passed = (False, False)
+        assert d.passed == (True, False) and d.skip_set == {1}
+        again = R.SkipDecision(rho=(0.7, 0.2))
+        assert d == again and hash(d) == hash(again)
+
+    def test_empty_reads_raise(self):
+        r = R.Router(T.Tensor(np.zeros(4)))
+        for mask in (None, np.zeros((2, 0))):
+            with pytest.raises(ShapeError):
+                R.router_probability(r, T.Tensor(np.zeros((2, 0, 4))), mask)
+        with pytest.raises(ShapeError):
+            R.unify_batch(T.Tensor(np.zeros(0)))
+
+
+def _bytes(x, dtype):
+    return np.asarray(x, dtype=dtype).tobytes()
+
+
+class TestRouterReadBytes:
+    """rho from the router's one pooling path, byte for byte against numpy's
+    own expressions, at lengths on both sides of numpy's 8-wide and 128-wide
+    pairwise summation blocks."""
+
+    LENGTHS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 127, 128, 129, 130, 200, 255, 256)
+    BATCHES = (1, 2, 3, 16, 33)
+
+    @staticmethod
+    def _read(dtype, b, n, seed=0):
+        rng = np.random.default_rng(seed)
+        d = 8
+        h = rng.normal(scale=2.0, size=(b, n, d)).astype(dtype)
+        w = rng.normal(size=d).astype(dtype)
+        probs = T.sigmoid_fwd((h @ w.reshape(d, 1)).reshape(b, n))
+        return R.Router(T.Tensor(w)), T.Tensor(h), probs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unmasked_read_is_numpy_mean(self, dtype):
+        for b in self.BATCHES:
+            for n in self.LENGTHS:
+                router, h, probs = self._read(dtype, b, n)
+                got = R.router_probability(router, h).data
+                assert got.tobytes() == _bytes(probs.mean(axis=1), dtype), (b, n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_read_is_masked_sum_over_count(self, dtype):
+        for b in self.BATCHES:
+            for n in self.LENGTHS:
+                router, h, probs = self._read(dtype, b, n, seed=1)
+                padded = np.ones((b, n), dtype=dtype)
+                for row in range(b):
+                    padded[row, 1 + (row * 37) % n:] = 0.0
+                for mask in (np.ones((b, n), dtype=dtype), padded):
+                    got = R.router_probability(router, h, mask).data
+                    want = (probs * mask).sum(axis=1) / mask.sum(axis=1)
+                    assert got.tobytes() == _bytes(want, dtype), (b, n)
+                all_ones = R.router_probability(router, h, np.ones((b, n))).data
+                assert all_ones.tobytes() == _bytes(probs.mean(axis=1), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unify_batch_is_numpy_mean(self, dtype):
+        rng = np.random.default_rng(2)
+        for b in range(1, 34):
+            rhos = rng.uniform(0.3, 0.7, size=b).astype(dtype)
+            got = R.unify_batch(T.Tensor(rhos)).data
+            assert _bytes(got, dtype) == _bytes(rhos.mean(), dtype), b
+
+    # SHA-256 of the router gradients below, as computed when the unmasked
+    # read was numpy's mean and the batch mean numpy's mean over rows
+    GRAD_DIGESTS = {
+        ("float32", "unmasked"): "dabc8a335e4609a7d4a80e875b95c7e0163b334889b1c25476bc68ca0a871381",
+        ("float32", "prompt"): "2d911231ca603f04f1a06e5943963aef0ddd62534d5f8445cb66deaf9338bff9",
+        ("float64", "unmasked"): "0cc8c8d2d61ada089d928c0c8ccb88467a515de7826c9ce236f08206b9fb1341",
+        ("float64", "prompt"): "19ddffc746420abe318067bcf03b15ae34fcae4c221255e2e5c29f09aebe1c2f",
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_soft_forward_router_gradients_keep_their_bytes(self, dtype):
+        cfg, w = tiny(m=3, dtype=dtype)
+        rng = np.random.default_rng(5)
+        routers = R.RouterBank([
+            R.Router(T.Tensor(rng.normal(scale=0.5, size=cfg.d_model).astype(dtype)))
+            for _ in range(cfg.n_layers)])
+        routers.set_requires_grad(True)
+        toks = rng.integers(0, cfg.vocab_size, size=(4, 10))
+        attn = np.ones((4, 9), dtype=np.uint8)
+        attn[1, 7:] = 0
+        attn[3, 5:] = 0
+        prompt = attn.copy()
+        prompt[:, 4:] = 0
+        for name, router_mask in (("unmasked", None), ("prompt", prompt)):
+            for r in routers:
+                r.weight.grad = None
+            logits, _ = R.soft_forward(cfg, w, routers, toks[:, :-1], attn_mask=attn,
+                                       router_mask=router_mask)
+            T.cross_entropy(logits, toks[:, 1:], 1 - attn).backward()
+            grads = b"".join(r.weight.grad.tobytes() for r in routers)
+            want = self.GRAD_DIGESTS[np.dtype(dtype).name, name]
+            assert hashlib.sha256(grads).hexdigest() == want, name
 
 
 class TestSoftLayerForward:

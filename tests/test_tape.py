@@ -171,3 +171,22 @@ def test_one_lora_step_peaks_within_its_tape_bound():
     assert result.steps == 1
     bound = _lora_peak_bound(config, b, width - 1, adapters)
     assert peak <= bound, (peak, bound)
+
+
+def test_a_second_batch_does_not_hold_the_first_batch_graph():
+    """Each step's graph is freed once its backward has run, so a run over
+    two batches peaks where a run over one does, not at two graphs."""
+    config, weights, _, train, val = _rig(n_layers=4, d_model=64, n_heads=4,
+                                          d_ff=256, batch=32)
+    tc = TR.TrainConfig(batch_size=16, accum_steps=1, max_epochs=1, eval_every=1,
+                        patience=10 ** 9, seed=1)
+    peaks = []
+    for n_pairs in (16, 32):
+        routers = _rig(n_layers=4, d_model=64, n_heads=4, d_ff=256)[2]
+        result, peak = peak_bytes(
+            lambda: TR.train_routers(config, weights, routers, train[:n_pairs],
+                                     val[:1], tc))
+        assert result.steps == n_pairs // 16
+        peaks.append(peak)
+    one, two = peaks
+    assert two <= 1.1 * one, (one, two)
