@@ -219,8 +219,7 @@ def cmd_infer(args) -> int:
     else:
         result = M.generate(config, weights, prompt, budget,
                             sampler=exp.sampler, skip_set=args.skip,
-                            rng=rng, stop_at=EOS, project=project,
-                            prefill_skip=() if args.full_prefill else None)
+                            rng=rng, stop_at=EOS, project=project)
         print(_decode_text(result.tokens))
     return 0
 
@@ -237,7 +236,7 @@ def cmd_bench(args) -> int:
     runs = {"full": lambda: M.generate(config, weights, prompt, budget)}
     if args.skip:
         runs["skip"] = lambda: M.generate(config, weights, prompt, budget,
-                                          skip_set=args.skip, prefill_skip=())
+                                          skip_set=args.skip)
     if args.routers:
         routers = _load(args.routers, "routers", weights)
         runs["routed"] = lambda: R.generate_with_routers(
@@ -352,8 +351,7 @@ def cmd_compare(args) -> int:
                                    project=project),
         "routed": lambda: run_routed(bench_prompt)[0],
         "unified": lambda: M.generate(config, weights, bench_prompt, budget,
-                                      skip_set=unified_skip, prefill_skip=(),
-                                      project=project),
+                                      skip_set=unified_skip, project=project),
     }, n_runs=args.runs, warmup=args.warmup))
 
     rows = []
@@ -439,9 +437,7 @@ def build_parser() -> _Parser:
     skipping = p.add_mutually_exclusive_group()
     skipping.add_argument("--routers", help="route layer skipping per prompt")
     skipping.add_argument("--skip", type=_skip_list, default=frozenset(),
-                          help="fixed skip set, e.g. 3,8")
-    p.add_argument("--full-prefill", action="store_true",
-                   help="prefill every layer, skip during decode only")
+                          help="layers to skip after a full prefill, e.g. 3,8")
     p.add_argument("--max-new", type=_positive)
 
     p = add("bench", cmd_bench, "measure decode time per token")

@@ -122,6 +122,8 @@ def read_decision_log(path: str) -> list[SkipDecision]:
             decision = SkipDecision.from_rhos([float(v) for v in row[1:1 + m]])
         except ValueError:
             raise DatasetError(f"decision row {row[0]}: a rho is not a number") from None
+        if not all(0.0 <= r <= 1.0 for r in decision.rho):
+            raise DatasetError(f"decision row {row[0]}: a rho outside [0, 1]")
         flags = row[1 + m:]
         if any(f not in ("0", "1") for f in flags):
             raise DatasetError(f"decision row {row[0]}: a skip flag other than 0 or 1")

@@ -344,10 +344,10 @@ def layer_branch(config: ModelConfig, weights: ModelWeights, layer_index: int,
 def layer_forward(config: ModelConfig, weights: ModelWeights, layer_index: int,
                   x, mask: Optional[np.ndarray],
                   rows: tuple[np.ndarray, np.ndarray],
-                  cache: Optional[KVCache] = None, project=None) -> Tensor:
+                  cache: Optional[KVCache] = None) -> Tensor:
     """Residual-added layer output, as a Tensor."""
     ops = _ops()
-    branch = layer_branch(config, weights, layer_index, x, mask, rows, cache, project)
+    branch = layer_branch(config, weights, layer_index, x, mask, rows, cache)
     return T.lift(ops.add(ops.lift(x), branch))
 
 
@@ -493,14 +493,15 @@ def generate(config: ModelConfig, weights: ModelWeights, prompt_ids: Sequence[in
              max_new_tokens: int, sampler: SamplerConfig = SamplerConfig(),
              skip_set: Sequence[int] = (), rng: Optional[np.random.Generator] = None,
              stop_at: Optional[int] = None, project=None,
-             prefill_skip: Optional[Sequence[int]] = None) -> GenerationResult:
+             prefill_skip: Sequence[int] = ()) -> GenerationResult:
     """Autoregressive generation with a fixed skip set and per-step timing.
 
-    ``skip_set`` governs decoding; ``prefill_skip`` defaults to the same set
-    and can be passed as () to run a full prefill before skipped decoding.
+    The prompt runs through every layer, as in routed generation, and
+    ``skip_set`` governs decoding only. ``prefill_skip`` (every layer runs
+    by default) skips layers at prefill too.
     """
     skip = frozenset(int(i) for i in skip_set)
-    pre_skip = skip if prefill_skip is None else frozenset(int(i) for i in prefill_skip)
+    pre_skip = frozenset(int(i) for i in prefill_skip)
 
     def prefill(prompt):
         cache = KVCache(config, batch_size=1, decode_skip=skip,

@@ -42,8 +42,7 @@ def anc(include: Sequence[int], i: int) -> int:
 
 def subsequence_forward(config: ModelConfig, weights: ModelWeights,
                         tokens: np.ndarray, include: Sequence[int],
-                        attn_mask: Optional[np.ndarray] = None,
-                        project=None) -> Tensor:
+                        attn_mask: Optional[np.ndarray] = None) -> Tensor:
     """Logits from running only the given layers, each fed by its ancestor.
 
     Implemented as an interpreter over a table of per-level hidden states
@@ -64,8 +63,7 @@ def subsequence_forward(config: ModelConfig, weights: ModelWeights,
     levels = {EMBEDDING_LEVEL: T.embedding(weights.embedding, tokens)}
     for i in include:
         src = levels[anc(include, i)]
-        levels[i] = M.layer_forward(config, weights, i, src, mask, rows,
-                                    project=project)
+        levels[i] = M.layer_forward(config, weights, i, src, mask, rows)
     top = levels[include[-1]] if include else levels[EMBEDDING_LEVEL]
     return T.lift(M._finish(weights, top))
 
@@ -168,19 +166,17 @@ def write_oracle_csv(path: str, result: OracleResult) -> None:
 
 def greedy_outputs(config: ModelConfig, weights: ModelWeights,
                    prompts: Sequence[Sequence[int]], max_new_tokens: int,
-                   skip_set: frozenset = frozenset(), project=None
-                   ) -> list[tuple[int, ...]]:
+                   skip_set: frozenset = frozenset()) -> list[tuple[int, ...]]:
     """Greedy tokens of each framed prompt under the deployment protocol:
     full prefill, decoding under ``skip_set``, stop at EOS."""
     return [tuple(M.generate(config, weights, p, max_new_tokens,
-                             skip_set=skip_set, prefill_skip=(), stop_at=EOS,
-                             project=project).tokens)
+                             skip_set=skip_set, stop_at=EOS).tokens)
             for p in prompts]
 
 
 def golden_exact_match(config: ModelConfig, weights: ModelWeights,
-                       prompts: Sequence[Sequence[int]], max_new_tokens: int,
-                       project=None) -> QualityFn:
+                       prompts: Sequence[Sequence[int]],
+                       max_new_tokens: int) -> QualityFn:
     """Fraction of prompts whose greedy output matches the full model's.
 
     The full-depth run is the reference, so the empty skip set always
@@ -188,20 +184,17 @@ def golden_exact_match(config: ModelConfig, weights: ModelWeights,
     """
     if not prompts:
         raise ConfigError("need at least one prompt")
-    golden = greedy_outputs(config, weights, prompts, max_new_tokens,
-                            project=project)
+    golden = greedy_outputs(config, weights, prompts, max_new_tokens)
 
     def quality(skip_set: frozenset) -> float:
-        outs = greedy_outputs(config, weights, prompts, max_new_tokens,
-                              skip_set, project)
+        outs = greedy_outputs(config, weights, prompts, max_new_tokens, skip_set)
         return sum(o == g for o, g in zip(outs, golden)) / len(golden)
 
     return quality
 
 
 def dataset_exact_match(config: ModelConfig, weights: ModelWeights,
-                        pairs: Sequence[Pair], max_new_tokens: int,
-                        project=None) -> QualityFn:
+                        pairs: Sequence[Pair], max_new_tokens: int) -> QualityFn:
     """Fraction of pairs whose greedy output reproduces the response byte
     for byte."""
     if not pairs:
@@ -209,8 +202,7 @@ def dataset_exact_match(config: ModelConfig, weights: ModelWeights,
     prompts = [frame_prompt(prompt) for prompt, _ in pairs]
 
     def quality(skip_set: frozenset) -> float:
-        outs = greedy_outputs(config, weights, prompts, max_new_tokens,
-                              skip_set, project)
+        outs = greedy_outputs(config, weights, prompts, max_new_tokens, skip_set)
         return sum(detokenize(o) == response
                    for o, (_, response) in zip(outs, pairs)) / len(pairs)
 
@@ -218,8 +210,7 @@ def dataset_exact_match(config: ModelConfig, weights: ModelWeights,
 
 
 def negative_perplexity(config: ModelConfig, weights: ModelWeights,
-                        pairs: Sequence[Pair], max_seq: int,
-                        project=None) -> QualityFn:
+                        pairs: Sequence[Pair], max_seq: int) -> QualityFn:
     """Teacher-forced response scorer: minus exp of the mean cross entropy.
 
     An ablation scorer, not the deployment protocol: the skip set applies
@@ -235,8 +226,7 @@ def negative_perplexity(config: ModelConfig, weights: ModelWeights,
         with T.no_grad():
             logits = M.forward_full(config, weights, batch.tokens[:, :-1],
                                     skip_set=skip_set,
-                                    attn_mask=batch.attn[:, :-1],
-                                    project=project)
+                                    attn_mask=batch.attn[:, :-1])
             ce = T.cross_entropy(logits, batch.tokens[:, 1:], ignore)
         return -math.exp(min(ce.item(), 50.0))
 

@@ -96,7 +96,7 @@ def router_probability(router: Router, hidden: Tensor,
     b, n, d = hidden.shape
     if n == 0:
         raise ShapeError("router saw sequences with no positions")
-    scores = T.reshape(T.matmul(hidden, T.reshape(router.weight, (d, 1))), (b, n))
+    scores = T.reshape(T.linear(hidden, T.reshape(router.weight, (1, d))), (b, n))
     probs = T.sigmoid(scores)
     counts = np.full(b, n)
     if attention_mask is not None:
@@ -160,15 +160,15 @@ def soft_forward(config: ModelConfig, weights: ModelWeights, routers: RouterBank
 
 
 def prefill(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
-            tokens: np.ndarray, attn_mask: Optional[np.ndarray] = None,
-            project=None) -> tuple[Tensor, KVCache, SkipDecision]:
+            tokens: np.ndarray, project=None) -> tuple[Tensor, KVCache, SkipDecision]:
     """Full-compute pass over the prompt that also fixes the skip decision.
 
     No layer is skipped here and every layer's K,V rows are cached, so the
-    logits match the unmodified model no matter what the routers say. Each
-    router reads the previous layer's output (the embedding for layer 0),
-    averaged over non-pad prompt tokens; the thresholded decision is frozen
-    into the returned cache for the decode phase.
+    logits match the unmodified model no matter what the routers say. The
+    prompt has no padding: each router reads the previous layer's output
+    (the embedding for layer 0) averaged over every prompt position, and
+    the thresholded decision is frozen into the returned cache for the
+    decode phase.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -183,8 +183,8 @@ def prefill(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
                         dtype=weights.embedding.dtype)
         hs: list[Tensor] = []
         logits = M.forward_full(config, weights, tokens, cache=cache,
-                                attn_mask=attn_mask, project=project, hidden=hs)
-        rhos = [unify_batch(router_probability(r, h, attn_mask)).item()
+                                project=project, hidden=hs)
+        rhos = [unify_batch(router_probability(r, h)).item()
                 for r, h in zip(routers.routers, hs)]
     decision = SkipDecision.from_rhos(rhos)
     cache.decode_skip = decision.skip_set

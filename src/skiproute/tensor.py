@@ -381,12 +381,15 @@ def embedding_fwd(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return table[ids]
 
 
-def rmsnorm_fwd(d: np.ndarray, gain: np.ndarray,
-                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+# added to the mean square under the root of every RMS normalization
+RMSNORM_EPS = 1e-5
+
+
+def rmsnorm_fwd(d: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d / rms(d)) * gain over the last axis, and the rms (for backward)."""
     # the sum over the axis count is bitwise ``mean``, without its overhead
     ms = np.add.reduce(d * d, axis=-1, keepdims=True) / d.shape[-1]
-    r = np.sqrt(ms + np.asarray(eps, dtype=d.dtype))
+    r = np.sqrt(ms + np.asarray(RMSNORM_EPS, dtype=d.dtype))
     return d / r * gain, r
 
 
@@ -621,11 +624,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if at is not None:
             at.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
         if bt is not None:
-            if (ra, rb) == (3, 2) and ad.dtype == g.dtype == np.float32:
-                # ``b`` is a transposed ``linear`` weight (a router's, as a
-                # (d, 1) column): the same product with the operands swapped
-                bt.accumulate_grad(_linear_weight_grad(g, ad))
-            elif (ra, rb) == (3, 2):
+            if (ra, rb) == (3, 2):
                 bt.accumulate_grad(np.tensordot(ad, g, axes=([0, 1], [0, 1])))
             else:
                 bt.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
@@ -778,11 +777,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (tt,), backward)
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by ``gain``."""
     d = x.data
     n = d.shape[-1]
-    data, r = rmsnorm_fwd(d, gain.data, eps)
+    data, r = rmsnorm_fwd(d, gain.data)
     xt, gt, g_dtype = _target(x), _target(gain), gain.dtype
     gd = gain.data if xt is not None else None
 
@@ -887,6 +886,6 @@ plain = SimpleNamespace(
     transpose=lambda x, axes: x.transpose(axes),
     reshape=lambda x, shape: x.reshape(shape),
     embedding=lambda table, ids: embedding_fwd(table.data, np.asarray(ids)),
-    rmsnorm=lambda x, gain, eps=1e-5: rmsnorm_fwd(x, gain.data, eps)[0],
+    rmsnorm=lambda x, gain: rmsnorm_fwd(x, gain.data)[0],
     rope=rope_fwd,
 )

@@ -556,32 +556,34 @@ def mean_hidden_per_layer(config: ModelConfig, weights: ModelWeights,
                      for h in hs])
 
 
+# a warm-started router's logit on the calibration mean of its input, the
+# cap on its weight norm, and how many attempts band tuning makes
+WARM_START_LOGIT = 0.4
+WARM_START_NORM_CAP = 3.0
+TUNE_ATTEMPTS = 5
+
+
 def warm_start_routers(config: ModelConfig, weights: ModelWeights,
-                       pairs: Sequence[Pair], max_seq: int,
-                       target_logit: float = 0.4,
-                       norm_cap: float = 3.0) -> RouterBank:
+                       pairs: Sequence[Pair]) -> RouterBank:
     """A bank whose probabilities start decisively above the pass threshold.
 
     Zero weights put every router exactly at the threshold, where the first
     optimizer step decides every layer's fate at once. Aligning each weight
-    vector with the calibration-set mean of its input raises the initial
-    probabilities to roughly ``sigmoid(target_logit)``, so the skip penalty
-    must carry a layer across the threshold against whatever gradient the
-    data provides, one layer at a time. Weight norms are capped so layers
-    with faint inputs do not start with outsized vectors. The bank takes the
-    model's dtype.
+    vector with the mean of its input over the calibration ``pairs``
+    (prompts of up to ``config.max_seq`` tokens) raises the initial
+    probabilities to roughly ``sigmoid(WARM_START_LOGIT)``, so the skip
+    penalty must carry a layer across the threshold against whatever
+    gradient the data provides, one layer at a time. Weight norms are capped
+    at ``WARM_START_NORM_CAP`` so layers with faint inputs do not start with
+    outsized vectors. The bank takes the model's dtype.
     """
-    if target_logit <= 0.0:
-        raise ConfigError(f"target logit must be positive, got {target_logit}")
-    if norm_cap <= 0.0:
-        raise ConfigError(f"norm cap must be positive, got {norm_cap}")
-    means = mean_hidden_per_layer(config, weights, pairs, max_seq)
+    means = mean_hidden_per_layer(config, weights, pairs, config.max_seq)
     routers = R.init_routers(config, dtype=weights.embedding.dtype)
     for i in range(config.n_layers):
         norm = float(np.linalg.norm(means[i]))
         if norm == 0.0:
             continue
-        scale = min(target_logit / (norm * norm), norm_cap / norm)
+        scale = min(WARM_START_LOGIT / (norm * norm), WARM_START_NORM_CAP / norm)
         routers[i].weight.data[:] = (means[i] * scale).astype(
             routers[i].weight.dtype)
     return routers
@@ -601,7 +603,6 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
                          train_pairs: Sequence[Pair], val_pairs: Sequence[Pair],
                          tc: TrainConfig, probe_pairs: Sequence[Pair],
                          band: tuple[float, float] = (0.15, 0.25),
-                         max_attempts: int = 5,
                          log_path: Optional[str] = None) -> BandTuneResult:
     """Train warm-started routers until the skip fraction first enters band.
 
@@ -615,7 +616,8 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
     skip fraction reaches the lower band edge. An attempt that lands past
     the upper edge jumped the band between probes and is retried from
     scratch at half the learning rate; one that never reaches the band gets
-    its epoch budget doubled.
+    its epoch budget doubled. After ``TUNE_ATTEMPTS`` misses it raises
+    ``ConfigError``.
 
     The base model is frozen, so every probe after the first reuses the
     probe prompts' layer inputs (see ``probe_decisions``) and costs only the
@@ -628,12 +630,10 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
     lo, hi = band
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"skip band must satisfy 0 <= lo < hi <= 1, got {band}")
-    if max_attempts < 1:
-        raise ConfigError("need at least one attempt")
 
-    warm = warm_start_routers(config, weights, train_pairs, config.max_seq)
+    warm = warm_start_routers(config, weights, train_pairs)
     lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, TUNE_ATTEMPTS + 1):
         routers = RouterBank([R.Router(Tensor(r.weight.data.copy()))
                               for r in warm.routers])
         # validation only when the attempt ends
@@ -657,4 +657,4 @@ def tune_routers_to_band(config: ModelConfig, weights: ModelWeights,
         else:
             epochs *= 2
     raise ConfigError(f"router tuning missed the skip band {band} "
-                      f"in {max_attempts} attempts")
+                      f"in {TUNE_ATTEMPTS} attempts")

@@ -4,9 +4,9 @@ and layout, whichever form it runs; wherever
 ``tensor.fuses_on_small_kernel`` allows one product over weights stacked
 by rows, each column block of it must hold that block's own
 ``linear_fwd`` bytes; and the weight gradients of ``linear``,
-``adapted_linear`` and a router (``matmul``'s rank-2 right operand), one
-product over all rows, must hold the bytes of the ``np.tensordot`` form
-in the weight's own C layout.
+``adapted_linear`` and a router (a ``linear`` over its weight read as
+one row), one product over all rows, must hold the bytes of the
+``np.tensordot`` form in the weight's own C layout.
 
 Run as a script (``PYTHONPATH=src:tests python -m gemmscan``) it prints the
 shapes that break either rule, one per line, and exits 1 if there are any;
@@ -97,7 +97,7 @@ def weight_grad_mismatches(seed: int = 0) -> list:
     ``np.tensordot`` form in bytes, dtype, shape or C layout:
     (b, n, out_features, in_features) for a projection's or an adapter
     factor's (a rank-2 input too, at b = 1), and (b, n, 1, width) for a
-    router's, taken through the tape's ``matmul``."""
+    router's, taken through the tape's ``linear`` as the router reads."""
     rng = np.random.default_rng(seed)
     bad = []
     for b in GRAD_BATCHES:
@@ -113,7 +113,7 @@ def weight_grad_mismatches(seed: int = 0) -> list:
                 hidden = rng.normal(size=(b, n, d)).astype(np.float32)
                 g = rng.normal(size=(b, n, 1)).astype(np.float32)
                 w = T.Tensor(rng.normal(size=d).astype(np.float32), requires_grad=True)
-                T.matmul(T.Tensor(hidden), T.reshape(w, (d, 1))).backward(g)
+                T.linear(T.Tensor(hidden), T.reshape(w, (1, d))).backward(g)
                 want = np.tensordot(hidden, g, axes=([0, 1], [0, 1])).reshape(d)
                 if not same_array(w.grad, want):
                     bad.append((b, n, 1, d))

@@ -16,13 +16,14 @@ import skiproute.data as D
 import skiproute.lora as L
 import skiproute.metrics as X
 import skiproute.model as M
+import skiproute.oracle as O
 import skiproute.router as R
 import skiproute.tensor as T
 import skiproute.training as TR
 from skiproute import cli
 from skiproute.cli import main
 from skiproute.config import load_experiment
-from skiproute.tokenizer import frame_prompt
+from skiproute.tokenizer import EOS, detokenize, frame_prompt
 
 TINY_INI = """\
 [model]
@@ -127,9 +128,20 @@ def test_infer_plain_and_routed(workdir, capsys):
 
 
 def test_infer_with_fixed_skip_set(workdir, capsys):
+    # a full prefill, then decoding under the set: the greedy quality pass
     assert main(["infer", "--config", workdir["cfg"], "--model", workdir["pre"],
-                 "--prompt", "abc", "--skip", "1", "--full-prefill"]) == 0
-    capsys.readouterr()
+                 "--prompt", "qq", "--skip", "0"]) == 0
+    printed = capsys.readouterr().out
+    weights = BU.load_bundle(workdir["pre"]).weights
+    budget = load_experiment(workdir["cfg"]).task.max_len + 2
+    prompt = frame_prompt(b"qq")
+    [tokens] = O.greedy_outputs(weights.config, weights, [prompt], budget,
+                                frozenset({0}))
+    assert printed == detokenize(tokens).decode("utf-8", errors="replace") + "\n"
+    # on this prompt a prefill that skips the layer too decodes other tokens
+    skipped = M.generate(weights.config, weights, prompt, budget, skip_set={0},
+                         prefill_skip={0}, stop_at=EOS).tokens
+    assert list(tokens) != skipped
 
 
 def test_merged_and_adapted_inference_agree(workdir, capsys):
@@ -262,6 +274,15 @@ def test_malformed_decision_log_exits_two(workdir, tmp_path, capsys):
     assert main(["stats", "--config", workdir["cfg"], "--from-raw", str(raw)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not a number" in err and "Traceback" not in err
+
+
+def test_decision_log_rho_outside_the_unit_interval_exits_two(workdir, tmp_path,
+                                                              capsys):
+    raw = tmp_path / "nan.csv"
+    raw.write_text("prompt,rho_0,rho_1,skip_0,skip_1\n0,nan,1.5,1,0\n")
+    assert main(["stats", "--config", workdir["cfg"], "--from-raw", str(raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "outside [0, 1]" in err and "Traceback" not in err
 
 
 def test_stats_dump_matches_per_prompt_prefill(workdir, capsys):

@@ -152,12 +152,17 @@ def test_decision_log_rejects_junk(tmp_path):
                         ("0,0.25,0.7,1,2", "other than 0 or 1"),
                         ("0,0.25,0.7,yes,0", "other than 0 or 1"),
                         ("0,0.25,0.7,0,0", "contradicts"),
-                        ("0,0.25,0.7,1,1", "contradicts")]:
+                        ("0,0.25,0.7,1,1", "contradicts"),
+                        ("0,nan,1.5,1,0", "outside"),
+                        ("0,0.25,inf,1,0", "outside"),
+                        ("0,-0.5,0.7,1,0", "outside")]:
         path.write_text(header + row + "\n")
         with pytest.raises(DatasetError, match=reason):
             X.read_decision_log(str(path))
     path.write_text(header + "0,0.25,0.5,1,0\n")
     assert X.read_decision_log(str(path)) == [SkipDecision(rho=(0.25, 0.5))]
+    path.write_text(header + "0,0.0,1.0,1,0\n")
+    assert X.read_decision_log(str(path)) == [SkipDecision(rho=(0.0, 1.0))]
 
 
 # ------------------------------------------------------------------ tpot

@@ -475,14 +475,31 @@ class TestGenerate:
         with pytest.raises(ShapeError):
             M.generate(cfg, w, [], max_new_tokens=2)
 
-    @pytest.mark.parametrize("prefill_skip", [None, ()])
-    def test_skip_set_outside_the_model(self, prefill_skip):
+    def test_skip_set_outside_the_model(self):
         cfg, w = tiny_model()
         with pytest.raises(ConfigError):
-            M.generate(cfg, w, [1, 2], 3, skip_set={99},
-                       prefill_skip=prefill_skip)
+            M.generate(cfg, w, [1, 2], 3, skip_set={99})
         with pytest.raises(ConfigError):
             M.generate(cfg, w, [1, 2], 3, prefill_skip={-1})
+
+    def test_a_fixed_skip_set_prefills_every_layer(self, monkeypatch):
+        # the prompt runs through every layer, as routed prefill runs it;
+        # only the decode steps skip
+        caches = []
+
+        class Recorded(M.KVCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                caches.append(self)
+
+        monkeypatch.setattr(M, "KVCache", Recorded)
+        cfg, w = tiny_model()
+        out = M.generate(cfg, w, [1, 2, 3, 4], 3, skip_set={1})
+        [cache] = caches
+        assert len(out.tokens) == 3 and cache.decode_skip == {1}
+        assert cache.filled == [6, 4, 6]  # 4 prompt rows, then 2 decode steps
+        assert out.tokens == M.generate(cfg, w, [1, 2, 3, 4], 3, skip_set={1},
+                                        prefill_skip=()).tokens
 
 
 class TestTrainingPath:

@@ -48,6 +48,15 @@ class TestRouterProbability:
         out = R.router_probability(R.Router(T.Tensor(np.ones(1))), T.Tensor(h))
         assert out.data[0] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_weight_masked_read_is_half_at_every_length(self, dtype):
+        # the masked mean is the sum over the count, so exactly 0.5 too
+        r = R.Router(T.Tensor(np.zeros(8, dtype=dtype)))
+        h = np.random.default_rng(1).normal(size=(1, 256, 8)).astype(dtype)
+        for n in range(1, 257):
+            got = R.router_probability(r, T.Tensor(h[:, :n]), np.ones((1, n)))
+            assert got.data.tolist() == [0.5], n
+
     def test_mask_excludes_positions(self):
         rng = np.random.default_rng(1)
         w = T.Tensor(rng.normal(size=6))
@@ -239,19 +248,17 @@ class TestPrefill:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_routers_pass_at_every_length(self, dtype):
-        # the masked mean must be exactly 0.5 too; multiplying the sum by a
-        # rounded 1/n gave 0.49999997 at n = 41 and skipped every layer
+        # multiplying the sum by a rounded 1/n gave 0.49999997 at n = 41
+        # and skipped every layer
         cfg = M.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16)
         w = M.init_model(cfg, np.random.default_rng(0), dtype=dtype)
         routers = R.init_routers(cfg, dtype=dtype)
         toks = np.random.default_rng(1).integers(0, cfg.vocab_size,
                                                  size=(1, cfg.max_seq))
         for n in range(1, cfg.max_seq + 1):
-            for mask in (None, np.ones((1, n))):
-                _, _, decision = R.prefill(cfg, w, routers, toks[:, :n],
-                                           attn_mask=mask)
-                assert decision.rho == (0.5,) * cfg.n_layers, (n, mask is None)
-                assert decision.skip_set == frozenset()
+            _, _, decision = R.prefill(cfg, w, routers, toks[:, :n])
+            assert decision.rho == (0.5,) * cfg.n_layers, n
+            assert decision.skip_set == frozenset()
 
     def test_logits_ignore_router_weights(self):
         cfg, w = tiny()

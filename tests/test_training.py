@@ -595,33 +595,23 @@ def test_warm_start_puts_every_router_above_threshold():
     config = tiny_config()
     weights = M.init_model(config, np.random.default_rng(0))
     _, val, _ = copy_pairs(8, seed=0)
-    bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+    bank = TR.warm_start_routers(config, weights, val)
     assert TR.measure_skip_fraction(config, weights, bank, val) == 0.0
     for router in bank:
-        assert np.linalg.norm(router.weight.data) <= 3.0 + 1e-6
+        assert np.linalg.norm(router.weight.data) <= TR.WARM_START_NORM_CAP + 1e-6
 
 
-def test_warm_start_hits_target_logit_when_uncapped():
+def test_warm_start_hits_target_logit_when_uncapped(monkeypatch):
     config = tiny_config()
     weights = M.init_model(config, np.random.default_rng(1))
     _, val, _ = copy_pairs(8, seed=1)
     means = TR.mean_hidden_per_layer(config, weights, val, config.max_seq)
-    bank = TR.warm_start_routers(config, weights, val, config.max_seq,
-                                 target_logit=0.3, norm_cap=1e9)
+    monkeypatch.setattr(TR, "WARM_START_LOGIT", 0.3)
+    monkeypatch.setattr(TR, "WARM_START_NORM_CAP", 1e9)
+    bank = TR.warm_start_routers(config, weights, val)
     for i in range(config.n_layers):
         logit = float(bank[i].weight.data @ means[i])
         assert logit == pytest.approx(0.3, rel=1e-4)
-
-
-@pytest.mark.parametrize("kw", [dict(target_logit=0.0),
-                                dict(target_logit=-0.4),
-                                dict(norm_cap=0.0)])
-def test_warm_start_validation(kw):
-    config = tiny_config()
-    weights = M.init_model(config, np.random.default_rng(1))
-    _, val, _ = copy_pairs(8, seed=1)
-    with pytest.raises(ConfigError):
-        TR.warm_start_routers(config, weights, val, config.max_seq, **kw)
 
 
 def test_measure_skip_fraction_extremes():
@@ -630,7 +620,7 @@ def test_measure_skip_fraction_extremes():
     _, val, _ = copy_pairs(8, seed=2)
     assert TR.measure_skip_fraction(config, weights, R.init_routers(config),
                                     val) == 0.0  # zero weights always pass
-    bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+    bank = TR.warm_start_routers(config, weights, val)
     for router in bank:
         router.weight.data[:] = -router.weight.data
     assert TR.measure_skip_fraction(config, weights, bank, val) == 1.0
@@ -664,8 +654,7 @@ def probe_bank(config, weights, prompts, kind):
     if kind == "zero":
         return R.init_routers(config, dtype=dtype)
     # calibrated on the prompts that fit encode_batch's limit
-    bank = TR.warm_start_routers(config, weights, [(p, b"") for p in prompts[:-1]],
-                                 config.max_seq)
+    bank = TR.warm_start_routers(config, weights, [(p, b"") for p in prompts[:-1]])
     if kind == "negated":
         for router in bank:
             router.weight.data[:] = -router.weight.data
@@ -795,8 +784,7 @@ def test_every_phase_leaves_every_parameter_frozen(phase):
 
 @pytest.mark.parametrize("kw", [dict(band=(0.3, 0.2)),
                                 dict(band=(-0.1, 0.5)),
-                                dict(band=(0.2, 1.5)),
-                                dict(max_attempts=0)])
+                                dict(band=(0.2, 1.5))])
 def test_tune_routers_band_validation(kw):
     config = tiny_config()
     weights = M.init_model(config, np.random.default_rng(5))
@@ -826,7 +814,7 @@ def test_tune_routers_unreachable_band_raises():
                         lr_min=1e-6, lr_max=1e-6)
     with pytest.raises(ConfigError, match="missed the skip band"):
         TR.tune_routers_to_band(config, weights, train, val, tc, val,
-                                band=(0.99, 1.0), max_attempts=1)
+                                band=(0.99, 1.0))
 
 
 def _tuning_rig():
@@ -843,14 +831,13 @@ def _tuning_rig():
     return config, weights, train, val, tc
 
 
-def _tune_validating_every_step(config, weights, train, val, tc, band,
-                                max_attempts):
+def _tune_validating_every_step(config, weights, train, val, tc, band):
     """Band tuning as a plain router run: a fresh warm start per attempt,
     validation after every step and the band probe right after it."""
     lo, hi = band
     lr_min, lr_max, epochs = tc.lr_min, tc.lr_max, tc.max_epochs
-    for attempt in range(1, max_attempts + 1):
-        bank = TR.warm_start_routers(config, weights, train, config.max_seq)
+    for attempt in range(1, TR.TUNE_ATTEMPTS + 1):
+        bank = TR.warm_start_routers(config, weights, train)
         tc_try = dataclasses.replace(tc, lr_min=lr_min, lr_max=lr_max,
                                      max_epochs=epochs, eval_every=1,
                                      patience=10 ** 9)
@@ -872,7 +859,7 @@ def test_tuned_routers_match_a_run_that_validates_every_step(monkeypatch):
     config, weights, train, val, tc = _tuning_rig()
     band = (0.2, 0.3)
     bank, ref, fraction, attempts = _tune_validating_every_step(
-        config, weights, train, val, tc, band, max_attempts=4)
+        config, weights, train, val, tc, band)
 
     validations = []
     mean_val_ce = TR._mean_val_ce
@@ -883,7 +870,7 @@ def test_tuned_routers_match_a_run_that_validates_every_step(monkeypatch):
 
     monkeypatch.setattr(TR, "_mean_val_ce", counted_val)
     tuned = TR.tune_routers_to_band(config, weights, train, val, tc, val,
-                                    band=band, max_attempts=4)
+                                    band=band)
     assert (tuned.attempts, tuned.skip_fraction) == (attempts, fraction)
     assert attempts > 1
     assert [r.weight.data.tobytes() for r in tuned.routers] == \
@@ -938,7 +925,7 @@ def _memo_rig(seed, dtype=np.float32):
     config = tiny_config(n_layers=3)
     weights = M.init_model(config, np.random.default_rng([11, seed]), dtype=dtype)
     _, val, test = copy_pairs(8, seed=seed)
-    bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+    bank = TR.warm_start_routers(config, weights, val)
     return config, weights, bank, val, test
 
 
@@ -1016,5 +1003,5 @@ def test_warm_start_takes_the_model_dtype():
     _, val, _ = copy_pairs(8, seed=0)
     for dtype in (np.float32, np.float64):
         weights = M.init_model(config, np.random.default_rng(0), dtype=dtype)
-        bank = TR.warm_start_routers(config, weights, val, config.max_seq)
+        bank = TR.warm_start_routers(config, weights, val)
         assert all(r.weight.dtype == dtype for r in bank)
