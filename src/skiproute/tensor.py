@@ -33,6 +33,16 @@ Conventions:
     ``transpose`` keep no array. So a value no backward reads is freed as
     soon as the forward drops it, and flipping ``requires_grad`` after an
     op is built does not change what its backward does.
+  - a node whose closure already keeps what forms its output again has a
+    ``rebuild``: ``rmsnorm`` (``d / r * gain``), ``swiglu`` (which hands
+    the ``sigmoid(g)`` it forms on to its own backward), ``attention``
+    (``p @ v``), and a ``transpose`` or ``reshape`` of such a node (its
+    parent's value, then the same view or copy), each with the forward's
+    own expression, layout and bytes. Where a weight or adapter gradient
+    reads such an output, ``linear`` and ``adapted_linear`` keep its node,
+    not the array, and read ``Node.value()`` in backward: the value is
+    formed once per sweep, at its first consumer's backward, and dropped
+    once its own node's backward has run.
   - tensors that participate in a graph must not be mutated in place.
 """
 
@@ -165,6 +175,7 @@ class Tensor:
             if node.grad is not None:
                 g, node.grad = node.grad, None
                 node.backward(g)
+            node.held = None  # every consumer of a rebuilt value has run
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -175,18 +186,30 @@ class Node:
     (``parents``, one per operand: its ``Node``, a leaf ``Tensor``, or None
     for an operand that takes no gradient), the ``backward`` closure, the
     gradient pending during a sweep, and the output's shape, dtype and
-    strides, but not the output array itself."""
+    strides, but not the output array itself. ``rebuild``, where the op
+    has one, forms the output again from what the closure keeps; ``held``
+    is that value while a sweep needs it."""
 
-    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "strides")
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "strides", "rebuild", "held")
 
-    def __init__(self, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]):
+    def __init__(self, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None],
+                 rebuild: Optional[Callable[[], np.ndarray]] = None):
         self.grad: Optional[np.ndarray] = None
         self.parents = parents
         self.backward = backward
         self.shape, self.dtype, self.strides = data.shape, data.dtype, data.strides
+        self.rebuild = rebuild
+        self.held: Optional[np.ndarray] = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         self.grad = _accumulated(self.grad, g, self.shape, self.dtype, self.strides)
+
+    def value(self) -> np.ndarray:
+        """The output, formed by ``rebuild`` on the first call of a sweep
+        and held until the sweep has run this node's backward."""
+        if self.held is None:
+            self.held = self.rebuild()
+        return self.held
 
 
 def _accumulated(held: Optional[np.ndarray], g: np.ndarray, shape: tuple, dtype,
@@ -214,14 +237,33 @@ def _target(t: Tensor):
     return t if t._node is None else t._node
 
 
-def _make(data: np.ndarray, targets: tuple, backward: Callable) -> Tensor:
+def _make(data: np.ndarray, targets: tuple, backward: Callable,
+          rebuild: Optional[Callable[[], np.ndarray]] = None) -> Tensor:
     """The op's output; with a graph node when some target takes a
     gradient. ``targets`` are the operands' ``_target``s."""
     out = Tensor(data)
     if targets.count(None) < len(targets):
         out.requires_grad = True
-        out._node = Node(out.data, targets, backward)
+        out._node = Node(out.data, targets, backward, rebuild)
     return out
+
+
+def _kept(x: Tensor, xt) -> np.ndarray | Node:
+    """What a backward keeps to read ``x``'s value: its node ``xt`` when the
+    node can rebuild the value, else the array. ``_read`` gives the value."""
+    return xt if type(xt) is Node and xt.rebuild is not None else x.data
+
+
+def _read(kept) -> np.ndarray:
+    return kept.value() if type(kept) is Node else kept
+
+
+def _rebuilt_view(xt, view: Callable[[np.ndarray], np.ndarray]):
+    """The rebuild of ``view`` of the operand whose target is ``xt``, or
+    None when ``xt`` is not a node that can rebuild."""
+    if type(xt) is not Node or xt.rebuild is None:
+        return None
+    return lambda: view(xt.value())
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -504,21 +546,23 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     rows, with the stacked product's bytes. ``W``'s gradient is
     ``_linear_weight_grad``, one product over all rows in float32; ``x``'s,
     ``g @ W``, stays stacked, since one GEMM there changes bytes at n = 1
-    and for the rank-8 factors."""
+    and for the rank-8 factors. When ``W`` takes a gradient the node keeps
+    ``x`` for it, or ``x``'s node where that node can rebuild ``x``
+    (``_kept``), and then forms ``x`` again in backward."""
     if x.ndim not in (2, 3) or w.ndim != 2:
         raise ShapeError(f"linear supports rank 2 or 3 by rank 2; got {x.shape} @ {w.shape}.T")
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
     data = linear_fwd(x.data, w.data)
     xt, wt = _target(x), _target(w)
-    xd = x.data if wt is not None else None
+    xk = _kept(x, xt) if wt is not None else None
     wd = w.data if xt is not None else None
 
     def backward(g):
         if xt is not None:
             xt.accumulate_grad(g @ wd)
         if wt is not None:
-            wt.accumulate_grad(_linear_weight_grad(xd, g))
+            wt.accumulate_grad(_linear_weight_grad(_read(xk), g))
 
     return _make(data, (xt, wt), backward)
 
@@ -550,7 +594,9 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     ``_dropout_mask(keep, inv_keep, x.dtype)``, a constant. Beyond its
     parents the node keeps only the rank-wide product and the keep-draw
     packed one bit per entry; backward rebuilds the mask and ``x * mask``
-    from them, and keeps none of the output-wide intermediates."""
+    from them, and keeps none of the output-wide intermediates. ``x``,
+    which the gradients of ``W`` and ``A`` read, is kept as in ``linear``:
+    its node where that node can rebuild it, else the array."""
     _check_adapted(x, w, a, b)
     scaling = float(scaling)
     bits = None
@@ -565,7 +611,7 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     out, la = adapted_linear_fwd(x.data, w.data, a.data, b.data, scaling, keep, inv_keep)
     xt, wt, at, bt = _target(x), _target(w), _target(a), _target(b)
     x_shape, x_size, dtype = x.shape, x.size, x.dtype
-    xd = x.data if wt is not None or at is not None else None
+    xk = _kept(x, xt) if wt is not None or at is not None else None
     wd = w.data if xt is not None else None
     ad = a.data if xt is not None else None
     bd = b.data if xt is not None or at is not None else None
@@ -575,6 +621,7 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
     # the composed graph's backward, in the order its reverse sweep runs it:
     # the base product first, then the scaled low-rank chain from B back to x
     def backward(g):
+        xd = None if xk is None else _read(xk)
         if xt is not None:
             xt.accumulate_grad(g @ wd)
         if wt is not None:
@@ -595,7 +642,9 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
                 at.accumulate_grad(_linear_weight_grad(xa, gla))
             if xt is not None:
                 gx = gla @ ad
-                xt.accumulate_grad(gx if mask is None else gx * mask)
+                if mask is not None:
+                    gx *= mask
+                xt.accumulate_grad(gx)
 
     return _make(out, (xt, wt, at, bt), backward)
 
@@ -667,6 +716,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tenso
     ``mask`` (nonzero = keep) broadcasts against the (b, heads, n, t) scores
     and must leave every row a key. Unlike ``softmax_rows`` this op does not
     check that: a forward pass checks its mask once for all its layers.
+    Where the node keeps ``v`` (``q`` or ``k`` takes a gradient) it can
+    rebuild its output, ``p @ v``.
     """
     if not q.ndim == k.ndim == v.ndim == 4 or k.shape[:3] != v.shape[:3] \
             or q.shape[:2] + q.shape[3:] != k.shape[:2] + k.shape[3:]:
@@ -693,23 +744,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask=None) -> Tenso
             if kt is not None:
                 kt.accumulate_grad((qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
-    return _make(out, (qt, kt, vt), backward)
+    # attention_fwd's own product over the weights the node keeps
+    rebuild = None if vd is None else (lambda: p @ vd)
+    return _make(out, (qt, kt, vt), backward, rebuild)
 
 
 def swiglu(g: Tensor, u: Tensor) -> Tensor:
     """The gated FFN's activation ``g * sigmoid(g) * u`` as one node; forward
     and gradients match the composed ops bitwise. The node keeps ``g`` and
     ``u``, not ``sigmoid(g)``: backward forms it again with ``sigmoid_fwd``,
-    the same bytes."""
+    the same bytes. Where it keeps ``u`` (``g`` takes a gradient) it can
+    rebuild its output as ``swiglu_fwd`` forms it, and hands the
+    ``sigmoid(g)`` formed there on to its own backward, which then forms
+    none."""
     if g.shape != u.shape:
         raise ShapeError(f"swiglu operands disagree: {g.shape} vs {u.shape}")
     out = swiglu_fwd(g.data, u.data)
     gt, ut = _target(g), _target(u)
     gd = g.data
     ud = u.data if gt is not None else None
+    handed = None  # sigmoid(g) from this sweep's rebuild
+
+    def rebuild():
+        nonlocal handed
+        handed = sigmoid_fwd(gd)
+        y = gd * handed  # swiglu_fwd's expression, with its sigmoid kept
+        y *= ud
+        return y
 
     def backward(G):
-        sig = sigmoid_fwd(gd)
+        nonlocal handed
+        sig, handed = handed, None
+        if sig is None:
+            sig = sigmoid_fwd(gd)
         if ut is not None:
             gu = gd * sig
             gu *= G
@@ -724,7 +791,7 @@ def swiglu(g: Tensor, u: Tensor) -> Tensor:
             gt.accumulate_grad(gg)
             gt.accumulate_grad(gsig)
 
-    return _make(out, (gt, ut), backward)
+    return _make(out, (gt, ut), backward, None if ud is None else rebuild)
 
 
 def sum_axis(x: Tensor, axis: int) -> Tensor:
@@ -749,7 +816,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     def backward(g):
         xt.accumulate_grad(g.transpose(inv))
 
-    return _make(data, (xt,), backward)
+    return _make(data, (xt,), backward, _rebuilt_view(xt, lambda d: d.transpose(axes)))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -760,7 +827,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def backward(g):
         xt.accumulate_grad(g.reshape(x_shape))
 
-    return _make(data, (xt,), backward)
+    return _make(data, (xt,), backward, _rebuilt_view(xt, lambda d: d.reshape(shape)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -778,12 +845,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    """Root-mean-square normalization over the last axis, scaled by ``gain``."""
+    """Root-mean-square normalization over the last axis, scaled by ``gain``.
+    The node keeps ``x``, the rms and ``gain``, and rebuilds its output
+    from them as ``rmsnorm_fwd`` forms it."""
     d = x.data
     n = d.shape[-1]
-    data, r = rmsnorm_fwd(d, gain.data)
+    gd = gain.data
+    data, r = rmsnorm_fwd(d, gd)
     xt, gt, g_dtype = _target(x), _target(gain), gain.dtype
-    gd = gain.data if xt is not None else None
 
     def backward(g):
         if xt is not None:
@@ -794,7 +863,7 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
             gg = (g * (d / r)).reshape(-1, n).sum(axis=0)
             gt.accumulate_grad(gg.astype(g_dtype))
 
-    return _make(data, (xt, gt), backward)
+    return _make(data, (xt, gt), backward, lambda: d / r * gd)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -852,11 +921,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_mask=None) -> Tens
     data = np.asarray((nll * keep).sum() / n_kept, dtype=logits.dtype)
     lt, l_shape, dtype = _target(logits), logits.shape, logits.dtype
 
+    # the gradient is formed in one (b·n, V) buffer, in place
     def backward(g):
-        probs = np.exp(flat - lse[:, None])
+        probs = flat - lse[:, None]
+        np.exp(probs, out=probs)
         probs[np.arange(tflat.shape[0]), tflat] -= 1.0
         probs *= (keep / n_kept)[:, None]
-        lt.accumulate_grad((g * probs).reshape(l_shape).astype(dtype))
+        probs *= g
+        lt.accumulate_grad(probs.reshape(l_shape).astype(dtype, copy=False))
 
     return _make(data, (lt,), backward)
 

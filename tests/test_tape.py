@@ -3,7 +3,10 @@
 A graph node holds its output's layout, not the output, and each op's
 backward keeps only the arrays it will read, decided from which operands
 require grad when the op is built. So once the forward drops a value that
-no backward reads, it is freed while the loss graph lives on.
+no backward reads, it is freed while the loss graph lives on. A value that
+a weight or adapter gradient reads but whose node can form it again (a
+norm, the attention output's copy, swiglu(g, u)) is freed too: backward
+rebuilds it, and drops it again once its own node's backward has run.
 """
 
 import gc
@@ -86,6 +89,23 @@ def _dead(refs):
     return [r for r in refs if r() is not None] == []
 
 
+def _nodes(root):
+    """Every node of the graph under ``root``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is T.Node and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def _assert_rebuilt_values_dropped(loss):
+    nodes = _nodes(loss._node)
+    assert any(node.rebuild is not None for node in nodes)
+    assert all(node.held is None for node in nodes)
+
+
 def test_phase1_tape_frees_what_no_backward_reads(monkeypatch):
     rig = _rig()
     config, weights, routers = rig[:3]
@@ -124,34 +144,86 @@ def test_lora_tape_frees_what_no_backward_reads(monkeypatch):
     for i in range(config.n_layers):
         for name in ("wq", "wk", "wo", "w_down"):
             assert _dead(rec.outputs[i, name]), (i, name)
-        # A's gradient reads every adapted projection's input
+        # A's gradient reads every adapted projection's input, and backward
+        # rebuilds each from its node: the norms, the attention output's
+        # copy and swiglu(g, u). Layer 0's q/k/v input, the norm of the
+        # frozen embedding, has no node, so the tape keeps it.
         for name, _ in weights.layers[i].matrices():
-            assert not _dead(rec.inputs[i, name]), (i, name)
+            kept = i == 0 and name in ("wq", "wk", "wv")
+            assert _dead(rec.inputs[i, name]) != kept, (i, name)
     loss.backward()
+    _assert_rebuilt_values_dropped(loss)
     # B starts at zero, so only B's gradient is nonzero after one sweep
     assert all(ad.a.grad is not None and np.any(ad.b.grad != 0) for _, ad in adapters.items())
+
+
+def test_pretraining_tape_rebuilds_every_projection_input(monkeypatch):
+    """The forward and loss of one ``train_model`` step, every weight
+    trained: each projection's input is rebuilt in backward, not kept."""
+    config, weights, _, train, _ = _rig()
+    weights.set_requires_grad(True)
+    rec = _Recorder(lambda ops, x, w, i, name: ops.linear(x, w))
+    batch = D.encode_batch(train, config.max_seq)
+    logits = M.forward_full(config, weights, batch.tokens[:, :-1],
+                            attn_mask=batch.attn[:, :-1], project=rec)
+    loss = TR.loss_total(logits, batch.tokens[:, 1:], TR._ignore_mask(batch), None,
+                         (), 0.0, 0.0).total
+    del logits
+    gc.collect()
+    for i in range(config.n_layers):
+        for name in ("wq", "wk", "wo", "w_down"):
+            assert _dead(rec.outputs[i, name]), (i, name)
+        for name, _ in weights.layers[i].matrices():
+            assert _dead(rec.inputs[i, name]), (i, name)
+    loss.backward()
+    _assert_rebuilt_values_dropped(loss)
+    assert all(p.grad is not None for p in weights.parameters())
+    weights.set_requires_grad(False)
+
+
+def test_a_second_lora_sweep_adds_the_first_sweeps_gradients_again(monkeypatch):
+    """Each sweep rebuilds the values it reads and swiglu hands on its
+    sigmoid again, so sweeping one graph twice gives every adapter factor
+    (one gradient per sweep) exactly twice its first gradient."""
+    rig = _rig()
+    config, weights, routers = rig[:3]
+    adapters = L.init_adapters(weights, rank=2, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(4)
+    for _, ad in adapters.items():  # B nonzero, so A takes a gradient too
+        ad.b.data[:] = rng.normal(0.0, 0.05, size=ad.b.shape)
+    adapters.set_requires_grad(True)
+    project = L.adapted_project(adapters, dropout=0.1, rng=np.random.default_rng(3))
+    loss, _ = _soft_loss(monkeypatch, rig, project)
+    loss.backward()
+    once = [p.grad.copy() for p in adapters.parameters()]
+    assert all(np.any(g != 0) for g in once)
+    loss.backward()
+    _assert_rebuilt_values_dropped(loss)
+    for p, g in zip(adapters.parameters(), once):
+        assert p.grad.tobytes() == (g + g).tobytes()
 
 
 def _lora_peak_bound(config, b, n, adapters):
     """Bytes one LoRA step may hold at once, from its shapes alone.
 
     The tape keeps, per layer and token, the float32 values some backward
-    reads: the hidden state, its norm, post-rope q and k, v, the attention
-    output's copy, h + a, its norm, g, u and swiglu(g, u) (an adapter's A
-    gradient reads each projection's input), the branch (rho's gradient
-    reads it), the attention weights (heads × n) and each adapter's
-    rank-wide product; and the final hidden state, its norm and the
-    logits. Backward adds up to eight temporaries of the widest
-    activation (the cross entropy's and swiglu's). The adapters add their
-    gradients and Adam's two moments, and each of a layer's 32 graph nodes
-    its Python objects. A tape that kept the values no backward reads
-    (pre-rope q and k, the attention output, the wo and w_down outputs,
-    sigmoid(g) and the rho-scaled branch: 6·d + f more per layer and token)
-    exceeds it.
+    reads: the hidden state, post-rope q and k, v, h + a, g and u, the
+    branch (rho's gradient reads it), the attention weights (heads × n)
+    and each adapter's rank-wide product; and the final hidden state, its
+    norm and the logits. An adapter's A gradient reads each projection's
+    input, but backward rebuilds the two norms, the attention output's
+    copy and swiglu(g, u) from what their nodes keep. Backward adds up to
+    eight temporaries of the widest activation (the cross entropy's and
+    swiglu's). The adapters add their gradients and Adam's two moments,
+    and each of a layer's 32 graph nodes its Python objects. A tape that
+    kept the values no backward reads (pre-rope q and k, the attention
+    output, the wo and w_down outputs, sigmoid(g) and the rho-scaled
+    branch: 6·d + f more per layer and token), or the rebuilt ones
+    (3·d + f more), exceeds it.
     """
     d, f, heads, v = config.d_model, config.d_ff, config.n_heads, config.vocab_size
     rank_wide = sum(ad.rank for ad in adapters.adapters.values()) // config.n_layers
-    per_layer = 10 * d + 3 * f + heads * n + rank_wide
+    per_layer = 7 * d + 2 * f + heads * n + rank_wide
     tape = 4 * b * n * (config.n_layers * per_layer + 2 * d + v)
     working = 8 * 4 * b * n * max(f, v)
     state = 3 * sum(p.data.nbytes for p in adapters.parameters())

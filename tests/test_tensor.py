@@ -858,6 +858,61 @@ class TestAutodiffEngine:
         assert u.grad.tobytes() == gu.tobytes()
         assert g.grad.tobytes() == (gg + gsig).tobytes()
 
+    @staticmethod
+    def _rebuildable(case, rng):
+        """Interior leaves and an output whose node can rebuild it."""
+        def interior(*shape):
+            leaf = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            return leaf, T.scale(leaf, 1.0)
+        if case == "rmsnorm":
+            (x, xi), (gain, _) = interior(4, 6, 8), interior(8)
+            return [x, gain], T.rmsnorm(xi, gain)
+        if case == "swiglu":
+            (g, gi), (u, ui) = interior(4, 6, 8), interior(4, 6, 8)
+            return [g, u], T.swiglu(gi, ui)
+        (q, qi), (k, ki), (v, vi) = (interior(4, 2, 6, 4) for _ in range(3))
+        out = T.attention(qi, ki, vi, 0.5, np.tril(np.ones((6, 6), bool)))
+        return [q, k, v], T.reshape(T.transpose(out, (0, 2, 1, 3)), (4, 6, 8))
+
+    @staticmethod
+    def _closure_arrays(root):
+        """Ids of the arrays every node's closures hold, over the graph."""
+        ids, stack, seen = set(), [root], set()
+        while stack:
+            node = stack.pop()
+            if type(node) is not T.Node or id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            for fn in (node.backward, node.rebuild):
+                for cell in getattr(fn, "__closure__", None) or ():
+                    if isinstance(cell.cell_contents, np.ndarray):
+                        ids.add(id(cell.cell_contents))
+        return ids
+
+    @pytest.mark.parametrize("case", ["rmsnorm", "swiglu", "attention"])
+    def test_a_rebuilt_input_gives_the_kept_inputs_bytes(self, case):
+        """A weight gradient that reads a rebuilt input, and every operand
+        gradient, keep the bytes they have when the tape keeps the input;
+        after the sweep no node holds the rebuilt value or anything else it
+        formed (swiglu's sigmoid included)."""
+        def sweep(rebuild):
+            rng = np.random.default_rng(7)
+            leaves, y = self._rebuildable(case, rng)
+            assert y._node.rebuild is not None
+            if not rebuild:
+                y._node.rebuild = None  # before linear decides what to keep
+            w = T.Tensor(rng.normal(size=(5, 8)).astype(np.float32), requires_grad=True)
+            out = T.linear(y, w)
+            held = self._closure_arrays(out._node)
+            assert (id(y.data) in held) != rebuild
+            out.backward(rng.normal(size=out.shape).astype(np.float32))
+            assert y._node.held is None
+            assert self._closure_arrays(out._node) == held
+            return [t.grad.tobytes() for t in leaves + [w]]
+
+        assert sweep(True) == sweep(False)
+
     def test_scalar_backward_seed(self):
         x = T.Tensor(rand64(3), requires_grad=True)
         with pytest.raises(ValueError):

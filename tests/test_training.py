@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -564,6 +565,24 @@ def test_reverse_pass_is_bitwise_equal_to_zero_filled_accumulation(
         reference = one_step_bytes(monkeypatch, model, phase)
     assert len(lean) == len(reference)
     assert lean == reference
+
+
+# SHA-256 of ``one_step_bytes`` as the tape gave them when it kept every
+# norm, swiglu and attention output a gradient reads, before backward
+# formed those values again from what their nodes keep.
+ONE_STEP_DIGESTS = {
+    ("default32", "model"): "13d8491c2e53fee12f3c7068c02a6aa99fd6316b6b77b98bd8dcb5b608489403",
+    ("default32", "lora"): "a404a2ad875fc1a8296e81bb87ab8d29d9b88aa7c15f4521817e5a7cc6604060",
+    ("tiny64", "model"): "6d2439f0a2380fda7d6b4563c76558d1856afe6beac9d2c3d3084bf9e242e7d1",
+    ("tiny64", "lora"): "ab4bf67eb8f923e4e6c99f8e277d3b65c36ab6da399bf5a192fac1246480c268",
+}
+
+
+@pytest.mark.parametrize("phase", ["model", "lora"])
+@pytest.mark.parametrize("model", sorted(STEP_MODELS))
+def test_one_step_keeps_its_pinned_bytes(monkeypatch, model, phase):
+    got = b"".join(one_step_bytes(monkeypatch, model, phase))
+    assert hashlib.sha256(got).hexdigest() == ONE_STEP_DIGESTS[model, phase]
 
 
 # ------------------------------------------------- budget tuning helpers
