@@ -25,14 +25,14 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import (BadMagicError, BundleError, BundleShapeError, ConfigError,
                      ShapeError, TruncatedFileError, VersionError)
 from .lora import TARGET_NAMES, AdapterSet, LoraAdapter, check_fits
-from .model import LayerWeights, ModelConfig, ModelWeights
+from .model import LayerWeights, ModelConfig, ModelWeights, layer_shapes
 from .router import Router, RouterBank
 from .tensor import Tensor
 
@@ -130,25 +130,16 @@ def _unpack_model(payload: bytes) -> ModelWeights:
                              d_ff=raw[3], vocab_size=raw[4], max_seq=raw[5])
     except ConfigError as e:
         raise BundleShapeError(f"model section holds a bad configuration: {e}")
-    d, f, v = config.d_model, config.d_ff, config.vocab_size
+    d, v = config.d_model, config.vocab_size
 
     def tensor(shape, what):
         return Tensor(_expect_shape(r.tensor(), shape, what))
 
     embedding = tensor((v, d), "embedding")
-    layers = []
-    for i in range(config.n_layers):
-        layers.append(LayerWeights(
-            wq=tensor((d, d), f"layer {i} wq"),
-            wk=tensor((d, d), f"layer {i} wk"),
-            wv=tensor((d, d), f"layer {i} wv"),
-            wo=tensor((d, d), f"layer {i} wo"),
-            w_gate=tensor((f, d), f"layer {i} w_gate"),
-            w_up=tensor((f, d), f"layer {i} w_up"),
-            w_down=tensor((d, f), f"layer {i} w_down"),
-            attn_norm=tensor((d,), f"layer {i} attn_norm"),
-            ffn_norm=tensor((d,), f"layer {i} ffn_norm"),
-        ))
+    shapes = layer_shapes(config)
+    layers = [LayerWeights(**{name: tensor(shape, f"layer {i} {name}")
+                              for name, shape in shapes.items()})
+              for i in range(config.n_layers)]
     final_norm = tensor((d,), "final_norm")
     head = tensor((v, d), "head")
     r.done()

@@ -15,10 +15,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .model import LayerWeights, ModelWeights
+from .model import LAYER_MATRICES, LayerWeights, ModelWeights
 from .tensor import Tensor
 
-TARGET_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+TARGET_NAMES = LAYER_MATRICES
 
 
 @dataclass

@@ -59,6 +59,25 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
+# Each layer parameter's name and shape, as ModelConfig fields, in the
+# order checkpoints, the optimizer and initialisation go through them: the
+# seven matrices (the ones adapters can target), then the two norm gains.
+LAYER_PARAMETERS = (
+    ("wq", ("d_model", "d_model")), ("wk", ("d_model", "d_model")),
+    ("wv", ("d_model", "d_model")), ("wo", ("d_model", "d_model")),
+    ("w_gate", ("d_ff", "d_model")), ("w_up", ("d_ff", "d_model")),
+    ("w_down", ("d_model", "d_ff")),
+    ("attn_norm", ("d_model",)), ("ffn_norm", ("d_model",)),
+)
+LAYER_MATRICES = tuple(name for name, dims in LAYER_PARAMETERS if len(dims) == 2)
+
+
+def layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every layer parameter's shape under ``config``, by name, in order."""
+    return {name: tuple(getattr(config, dim) for dim in dims)
+            for name, dims in LAYER_PARAMETERS}
+
+
 @dataclass
 class LayerWeights:
     """One layer's parameters. ``wq``/``wk``/``wv`` are the row blocks of
@@ -96,12 +115,11 @@ class LayerWeights:
         return buf
 
     def matrices(self) -> Iterator[tuple[str, Tensor]]:
-        for name in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down"):
+        for name in LAYER_MATRICES:
             yield name, getattr(self, name)
 
     def parameters(self) -> Iterator[Tensor]:
-        for name in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down",
-                     "attn_norm", "ffn_norm"):
+        for name, _ in LAYER_PARAMETERS:
             yield getattr(self, name)
 
 
@@ -128,28 +146,21 @@ class ModelWeights:
 
 def init_model(config: ModelConfig, rng: np.random.Generator,
                dtype=np.float32) -> ModelWeights:
-    """Fresh weights: normal(0, 0.02) projections, unit norm scales."""
+    """Fresh weights: normal(0, 0.02) projections, unit norm scales. Every
+    layer's matrices are drawn in table order, then the embedding, then the
+    head."""
 
-    def mat(n_out, n_in):
-        return Tensor(rng.normal(0.0, 0.02, size=(n_out, n_in)).astype(dtype))
+    def param(shape):
+        if len(shape) == 1:
+            return Tensor(np.ones(shape, dtype=dtype))
+        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype))
 
-    d, f, v = config.d_model, config.d_ff, config.vocab_size
-    layers = [
-        LayerWeights(
-            wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d),
-            w_gate=mat(f, d), w_up=mat(f, d), w_down=mat(d, f),
-            attn_norm=Tensor(np.ones(d, dtype=dtype)),
-            ffn_norm=Tensor(np.ones(d, dtype=dtype)),
-        )
-        for _ in range(config.n_layers)
-    ]
-    return ModelWeights(
-        config=config,
-        embedding=mat(v, d),
-        layers=layers,
-        final_norm=Tensor(np.ones(d, dtype=dtype)),
-        head=mat(v, d),
-    )
+    d, v = config.d_model, config.vocab_size
+    shapes = layer_shapes(config)
+    layers = [LayerWeights(**{name: param(shape) for name, shape in shapes.items()})
+              for _ in range(config.n_layers)]
+    return ModelWeights(config=config, embedding=param((v, d)), layers=layers,
+                        final_norm=param((d,)), head=param((v, d)))
 
 
 def _layer_set(config: ModelConfig, layers: Sequence[int]) -> frozenset[int]:

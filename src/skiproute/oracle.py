@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -112,40 +112,24 @@ def brute_force_oracle(n_layers: int, quality_fn: QualityFn,
     all_layers = tuple(range(n_layers))
     full_quality = quality_fn(frozenset())
     threshold = (1.0 - epsilon) * full_quality
-
-    best_per_size: dict[int, OracleEntry] = {}
-    winner: Optional[OracleEntry] = None
-    evaluated = 0
-    for k in range(n_layers + 1):
-        for combo in combinations(all_layers, k):
-            include = tuple(combo)
-            if include == all_layers:
-                q = full_quality
-            else:
-                q = quality_fn(frozenset(all_layers) - frozenset(include))
-            evaluated += 1
-            entry = OracleEntry(include=include, layers_used=k, quality=q)
-            held = best_per_size.get(k)
-            if held is None or q > held.quality:
-                best_per_size[k] = entry
-            if q >= threshold and winner is None:
-                winner = entry
-            elif q >= threshold and winner is not None \
-                    and winner.layers_used == k and q > winner.quality:
-                winner = entry
-    if winner is None:
-        winner = best_per_size[n_layers]
-
+    # every subset by size, then lexicographically; the full set, last,
+    # reuses the first call
+    entries = [OracleEntry(include=include, layers_used=k,
+                           quality=full_quality if k == n_layers else
+                           quality_fn(frozenset(all_layers) - frozenset(include)))
+               for k in range(n_layers + 1)
+               for include in combinations(all_layers, k)]
+    winner = min((e for e in entries if e.quality >= threshold),
+                 key=lambda e: (e.layers_used, -e.quality), default=entries[-1])
+    # the first best subset of each size that beats every smaller size's
     pareto: list[OracleEntry] = []
-    best_seen = -math.inf
-    for k in range(n_layers + 1):
-        e = best_per_size[k]
-        if e.quality > best_seen:
-            pareto.append(e)
-            best_seen = e.quality
+    for _, same_size in groupby(entries, key=lambda e: e.layers_used):
+        best = max(same_size, key=lambda e: e.quality)
+        if best.quality > (pareto[-1].quality if pareto else -math.inf):
+            pareto.append(best)
     return OracleResult(winner=winner, pareto=tuple(pareto),
                         full_quality=full_quality, threshold=threshold,
-                        epsilon=epsilon, n_layers=n_layers, evaluated=evaluated)
+                        epsilon=epsilon, n_layers=n_layers, evaluated=len(entries))
 
 
 def write_oracle_csv(path: str, result: OracleResult) -> None:

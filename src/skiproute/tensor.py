@@ -638,8 +638,9 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
                 kept = np.unpackbits(bits, count=x_size).view(bool).reshape(x_shape)
                 mask = _dropout_mask(kept, inv_keep, dtype)
             if at is not None:
-                xa = xd if mask is None else xd * mask
-                at.accumulate_grad(_linear_weight_grad(xa, gla))
+                # ``x * mask`` inline, so it is freed before the x-gradient
+                at.accumulate_grad(_linear_weight_grad(
+                    xd if mask is None else xd * mask, gla))
             if xt is not None:
                 gx = gla @ ad
                 if mask is not None:

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -253,91 +254,6 @@ def _val_batches(pairs: Sequence[Pair], tc: TrainConfig,
             for lo in range(0, len(pairs), tc.batch_size)]
 
 
-def _run_loop(batch_loss: Callable[[Batch], tuple[LossBreakdown, tuple[float, ...]]],
-              val_ce: Callable[[], float], params: Sequence[Tensor],
-              train_pairs: Sequence[Pair], tc: TrainConfig, config: ModelConfig,
-              stop_check: Optional[Callable[[], bool]],
-              check_each_step: bool = False) -> TrainResult:
-    """Shared engine: accumulate, step, validate every ``tc.eval_every``
-    optimizer steps and once when the run ends, stop on stale validation or
-    when ``stop_check`` returns True. ``stop_check`` runs without a gradient
-    right after each validation, or, with ``check_each_step``, after every
-    optimizer step instead."""
-    if not train_pairs:
-        raise DatasetError("training set is empty")
-    opt = Adam(params)
-    shuffle_rng = seeded_streams(tc.seed, ["shuffle", "dropout"])["shuffle"]
-    per_epoch = math.ceil(len(train_pairs) / tc.batch_size)
-    total_opt_steps = max(1, per_epoch * tc.max_epochs // tc.accum_steps)
-
-    rows: list[TrainLogRow] = []
-    window = np.zeros(4)
-    window_rho = np.zeros(config.n_layers)
-    window_n = 0
-    micro = 0
-    opt_steps = 0
-    best_val = math.inf
-    stale = 0
-    stopped = False
-
-    def check() -> None:
-        nonlocal stopped
-        with T.no_grad():
-            stopped = bool(stop_check()) or stopped
-
-    def evaluate() -> None:
-        nonlocal best_val, stale, stopped, window_n
-        v = val_ce()
-        if not math.isfinite(v):
-            raise NumericalError(f"non-finite validation loss at step {opt_steps}")
-        n = max(window_n, 1)
-        rows.append(TrainLogRow(
-            step=opt_steps, ce=window[0] / n, reg=window[1] / n,
-            pp=window[2] / n, total=window[3] / n, val_ce=v,
-            mean_rho=tuple(window_rho / n)))
-        window[:] = 0.0
-        window_rho[:] = 0.0
-        window_n = 0
-        if v < best_val:
-            best_val = v
-            stale = 0
-        else:
-            stale += 1
-            if stale >= tc.patience:
-                stopped = True
-        if stop_check is not None and not check_each_step:
-            check()
-
-    for _ in range(tc.max_epochs):
-        for batch in iter_minibatches(train_pairs, tc.batch_size, shuffle_rng,
-                                      config.max_seq):
-            bd, rho_vals = batch_loss(batch)
-            bd.verify()
-            window[:] += (bd.ce.item(), bd.reg.item(), bd.pp.item(), bd.total.item())
-            window_rho += rho_vals
-            window_n += 1
-            bd.total.backward(np.asarray(1.0 / tc.accum_steps, dtype=bd.total.dtype))
-            del bd  # free the step's graph before the optimizer step and validation
-            micro += 1
-            if micro % tc.accum_steps == 0:
-                opt.step(cosine_lr(opt_steps, total_opt_steps, tc.lr_min, tc.lr_max))
-                opt.zero_grad()
-                opt_steps += 1
-                if opt_steps % tc.eval_every == 0:
-                    evaluate()
-                if stop_check is not None and check_each_step:
-                    check()
-                if stopped:
-                    break
-        if stopped:
-            break
-    # a stop between validations still ends on a validated row
-    if not rows or rows[-1].step != opt_steps:
-        evaluate()
-    return TrainResult(rows=rows, steps=opt_steps, stopped_early=stopped,
-                       best_val_ce=best_val)
-
-
 def _mean_val_ce(batches: Sequence[Batch],
                  logits_fn: Callable[[Batch], Tensor]) -> float:
     """Cross entropy over all response positions, weighted exactly."""
@@ -366,31 +282,88 @@ def _train_phase(config: ModelConfig, weights: ModelWeights,
     """One phase: ``trained`` (the model, the bank or the adapters) learns on
     ``loss_total`` with all else frozen. ``forward(batch, training)`` gives
     the logits and the per-layer rho tensors (none without routers).
-    ``stop_check`` and ``check_each_step`` are as in ``_run_loop``."""
+
+    Adam steps every ``tc.accum_steps`` batches at a cosine-decayed learning
+    rate. Validation runs every ``tc.eval_every`` optimizer steps and once
+    when the run ends, and each validation logs one row: the losses and
+    per-layer rho averaged over the batches since the last row. The run
+    stops once ``tc.patience`` validations in a row have not improved on the
+    best, or when ``stop_check`` returns True. ``stop_check`` runs without a
+    gradient right after each validation, or, with ``check_each_step``,
+    after every optimizer step instead."""
     weights.set_requires_grad(False)
     if routers is not None:
         routers.set_requires_grad(False)
     trained.set_requires_grad(True)
     val_batches = _val_batches(val_pairs, tc, config.max_seq)
+    rows: list[TrainLogRow] = []
+    # summed over the batches since the last row: ce, reg, pp, total, then
+    # each layer's rho
+    sums = np.zeros(4 + config.n_layers)
+    n_summed = 0
+    opt_steps, best_val, stale, stopped = 0, math.inf, 0, False
 
-    def batch_loss(b: Batch):
-        logits, rhos = forward(b, True)
-        bd = loss_total(logits, b.tokens[:, 1:], _ignore_mask(b),
-                        routers, rhos, tc.lam, alpha_eff)
-        # every layer runs in plain training; log that fact in the rho columns
-        return bd, tuple(r.item() for r in rhos) or (1.0,) * config.n_layers
-
-    def val_ce():
-        return _mean_val_ce(val_batches, lambda b: forward(b, False)[0])
+    def validate() -> None:
+        nonlocal n_summed, best_val, stale, stopped
+        v = _mean_val_ce(val_batches, lambda b: forward(b, False)[0])
+        if not math.isfinite(v):
+            raise NumericalError(f"non-finite validation loss at step {opt_steps}")
+        mean = sums / max(n_summed, 1)
+        rows.append(TrainLogRow(opt_steps, *mean[:4], val_ce=v,
+                                mean_rho=tuple(mean[4:])))
+        sums[:] = 0.0
+        n_summed = 0
+        if v < best_val:
+            best_val, stale = v, 0
+        else:
+            stale += 1
+            stopped = stopped or stale >= tc.patience
+        if stop_check is not None and not check_each_step:
+            with T.no_grad():
+                stopped = bool(stop_check()) or stopped
 
     try:
-        result = _run_loop(batch_loss, val_ce, list(trained.parameters()),
-                           train_pairs, tc, config, stop_check, check_each_step)
+        if not train_pairs:
+            raise DatasetError("training set is empty")
+        opt = Adam(list(trained.parameters()))
+        shuffle_rng = seeded_streams(tc.seed, ["shuffle", "dropout"])["shuffle"]
+        per_epoch = math.ceil(len(train_pairs) / tc.batch_size)
+        total_opt_steps = max(1, per_epoch * tc.max_epochs // tc.accum_steps)
+        epochs = (iter_minibatches(train_pairs, tc.batch_size, shuffle_rng, config.max_seq)
+                  for _ in range(tc.max_epochs))
+        for micro, batch in enumerate(chain.from_iterable(epochs), 1):
+            logits, rhos = forward(batch, True)
+            bd = loss_total(logits, batch.tokens[:, 1:], _ignore_mask(batch),
+                            routers, rhos, tc.lam, alpha_eff)
+            bd.verify()
+            # every layer runs in plain training; log that fact in the rho columns
+            sums += (bd.ce.item(), bd.reg.item(), bd.pp.item(), bd.total.item(),
+                     *([r.item() for r in rhos] or [1.0] * config.n_layers))
+            n_summed += 1
+            bd.total.backward(np.asarray(1.0 / tc.accum_steps, dtype=bd.total.dtype))
+            # free the step's graph before the optimizer step and validation
+            del bd, logits, rhos
+            if micro % tc.accum_steps:
+                continue
+            opt.step(cosine_lr(opt_steps, total_opt_steps, tc.lr_min, tc.lr_max))
+            opt.zero_grad()
+            opt_steps += 1
+            if opt_steps % tc.eval_every == 0:
+                validate()
+            if stop_check is not None and check_each_step:
+                with T.no_grad():
+                    stopped = bool(stop_check()) or stopped
+            if stopped:
+                break
+        # a stop between validations still ends on a validated row
+        if not rows or rows[-1].step != opt_steps:
+            validate()
     finally:
         trained.set_requires_grad(False)
     if log_path:
-        write_train_log(log_path, result.rows)
-    return result
+        write_train_log(log_path, rows)
+    return TrainResult(rows=rows, steps=opt_steps, stopped_early=stopped,
+                       best_val_ce=best_val)
 
 
 def _soft_forward(config: ModelConfig, weights: ModelWeights,

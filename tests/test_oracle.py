@@ -195,9 +195,11 @@ def test_oracle_counts_every_subset_once():
         return 1.0
     result = O.brute_force_oracle(3, q, 0.5)
     assert result.evaluated == 8
+    # the full set first, then the subsets by size and lexicographically;
     # the full-depth subset reuses the initial full-quality call
-    assert len(calls) == 8
-    assert len(set(calls)) == 8
+    assert calls == [frozenset(), frozenset({0, 1, 2}), frozenset({1, 2}),
+                     frozenset({0, 2}), frozenset({0, 1}), frozenset({2}),
+                     frozenset({1}), frozenset({0})]
 
 
 # ------------------------------------------------------------ csv dump

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gemmscan
 from fdcheck import fd_gradient, relative_error
-from memcheck import NODE_OVERHEAD_BYTES, retained_bytes
+from memcheck import NODE_OVERHEAD_BYTES, peak_bytes, retained_bytes
 from skiproute import tensor as T
 from skiproute.errors import MaskError, ShapeError, VocabularyError
 
@@ -515,6 +515,29 @@ class TestAdaptedLinear:
             lambda: T.adapted_linear(x, w, a, b, 2.0, rng.random(x.shape) < 0.9, inv_keep))
         rank_wide = out.size // 48 * 8 * x.data.itemsize
         assert held - out.data.nbytes <= -(-x.size // 8) + rank_wide + NODE_OVERHEAD_BYTES
+
+    def test_dropout_backward_holds_no_masked_input_at_its_peak(self):
+        """One dropout backward at ``w_down``'s shape, (16, 18, 256) → 64.
+        At its peak, x's gradient from the base product, the low-rank
+        x-gradient and their sum are live beside the float mask and the
+        unpacked keep-draw; ``x * mask``, which only A's gradient reads, is
+        gone by then."""
+        rng = np.random.default_rng(12)
+        x = T.Tensor(rng.normal(size=(16, 18, 256)).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rng.normal(scale=0.05, size=(64, 256)).astype(np.float32))
+        a = T.Tensor(rng.normal(scale=0.05, size=(8, 256)).astype(np.float32),
+                     requires_grad=True)
+        b = T.Tensor(rng.normal(scale=0.05, size=(64, 8)).astype(np.float32),
+                     requires_grad=True)
+        keep, inv_keep, _ = _dropout(x.shape, rng)
+        out = T.adapted_linear(x, w, a, b, 4.0, keep, inv_keep)
+        seed = rng.normal(size=out.shape).astype(np.float32)
+        _, peak = peak_bytes(lambda: out.backward(seed))
+        # the seed's copy and its scaled form are output-sized; an eighth of
+        # an input covers the rank-wide products, the adapter gradients and
+        # the Python objects
+        size = x.data.nbytes
+        assert peak <= 4 * size + x.size + 2 * out.data.nbytes + size // 8
 
 
 class TestMeanSum:

@@ -925,6 +925,68 @@ def test_an_attempt_the_stop_check_ends_is_still_validated(tmp_path):
         assert len(list(csv.reader(fh))) == 2  # header and the attempt's row
 
 
+def _logged_pretraining(log):
+    """Pretraining with accumulation that validates every step and ends on
+    patience: a learning rate too high for the tiny model overshoots."""
+    config = tiny_config()
+    weights = M.init_model(config, np.random.default_rng(8))
+    train, val, _ = copy_pairs(24, seed=8)
+    tc = TR.TrainConfig(batch_size=4, accum_steps=2, max_epochs=20,
+                        lr_min=0.05, lr_max=0.05, eval_every=1, patience=2,
+                        seed=3)
+    result = TR.train_model(config, weights, train, val, tc, log_path=log)
+    assert result.stopped_early and len(result.rows) >= 2
+    assert result.steps < 20 * 6 // 2  # patience, not the epoch budget
+
+
+def _logged_router_run(log):
+    """Phase 1 that validates every second step and stops at the third
+    validation's stop check."""
+    config = tiny_config()
+    weights = M.init_model(config, np.random.default_rng(9))
+    train, val, _ = copy_pairs(16, seed=9)
+    bank = TR.warm_start_routers(config, weights, train)
+    tc = TR.TrainConfig(batch_size=4, accum_steps=1, max_epochs=5,
+                        eval_every=2, alpha=0.3, lr_min=1e-3, lr_max=1e-2,
+                        seed=4)
+    checks = []
+
+    def stop_check():
+        checks.append(1)
+        return len(checks) == 3
+
+    result = TR.train_routers(config, weights, bank, train, val, tc,
+                              log_path=log, stop_check=stop_check)
+    assert result.stopped_early and result.steps == 6 and len(result.rows) == 3
+
+
+def _logged_tuning(log):
+    config, weights, train, val, tc = _tuning_rig()
+    tuned = TR.tune_routers_to_band(config, weights, train, val, tc, val,
+                                    band=(0.2, 0.3), log_path=log)
+    assert tuned.attempts > 1
+
+
+# Each run and the SHA-256 of its CSV log, taken before the training loop
+# was folded into one function.
+LOGGED_RUNS = {
+    "pretraining": (_logged_pretraining,
+                    "622472a57064b1e3d63753d881efc77d8ec092ef63039896a06be5c6688ca5c9"),
+    "router_run": (_logged_router_run,
+                   "a51ca3d11e165971b60e86fc4757156214299d6e588514e821c272373505ccf6"),
+    "tuning": (_logged_tuning,
+               "19044c3b13098778685270740657f6543d96b42096952158c0abae5803800a70"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(LOGGED_RUNS))
+def test_log_rows_keep_their_pinned_bytes(tmp_path, run):
+    build, digest = LOGGED_RUNS[run]
+    log = tmp_path / "log.csv"
+    build(str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+
+
 # ------------------------------------------------------- the probe's memo
 
 
