@@ -33,7 +33,7 @@ from .router import (PASS_THRESHOLD, Router, RouterBank, SkipDecision,
                      soft_forward, unify_batch)
 from .tensor import Tensor, no_grad
 from .tokenizer import (BOS, EOS, PAD, SEP, VOCAB_SIZE, detokenize,
-                        frame_pair, frame_prompt, tokenize)
+                        frame_pair, frame_prompt)
 from .training import (Adam, BandTuneResult, LossBreakdown, TrainConfig,
                        TrainResult, cosine_lr, loss_total,
                        mean_hidden_per_layer, measure_skip_fraction,

@@ -19,6 +19,9 @@ from .errors import ConfigError
 from .model import GenerationResult
 
 
+TPOT_RUNS, TPOT_WARMUP = 5, 2  # measured and warm-up rounds per configuration
+
+
 @dataclass(frozen=True)
 class TpotResult:
     """Seconds per decode token, summarized over the measured runs."""
@@ -37,7 +40,8 @@ class TpotResult:
 
 
 def measure_tpot(run_fns: dict[str, Callable[[], GenerationResult]],
-                 n_runs: int = 5, warmup: int = 2) -> dict[str, TpotResult]:
+                 n_runs: int = TPOT_RUNS,
+                 warmup: int = TPOT_WARMUP) -> dict[str, TpotResult]:
     """Average each generator's per-step decode times over repeated runs.
 
     The generators take turns (A B C A B C ...), warmup rounds included,

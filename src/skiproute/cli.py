@@ -21,7 +21,7 @@ from . import oracle as O
 from . import router as R
 from . import training as TR
 from .bundle import load_bundle, save_bundle
-from .config import ExperimentConfig, load_experiment, write_default_config
+from .config import DEFAULT_CONFIG, ExperimentConfig, load_experiment
 from .data import generate_dataset
 from .errors import BundleError, NumericalError, SkipRouteError
 from .lora import adapted_project, init_adapters, merge
@@ -117,7 +117,8 @@ def _decode_text(tokens) -> str:
 def cmd_init(args) -> int:
     import os
     if args.force or not os.path.exists(args.config):
-        write_default_config(args.config)
+        with open(args.config, "w") as fh:
+            fh.write(DEFAULT_CONFIG)
         print(f"wrote {args.config}")
     exp = load_experiment(args.config)
     if args.model:
@@ -445,8 +446,8 @@ def build_parser() -> _Parser:
     p.add_argument("--routers")
     p.add_argument("--skip", type=_skip_list, default=frozenset())
     p.add_argument("--prompt")
-    p.add_argument("--runs", type=_positive, default=5)
-    p.add_argument("--warmup", type=_non_negative, default=2)
+    p.add_argument("--runs", type=_positive, default=B.TPOT_RUNS)
+    p.add_argument("--warmup", type=_non_negative, default=B.TPOT_WARMUP)
     p.add_argument("--max-new", type=_positive)
     p.add_argument("--out", help="CSV latency report")
 
@@ -474,8 +475,8 @@ def build_parser() -> _Parser:
                    help="layers the spaced baseline keeps (default: match "
                         "the routed budget)")
     p.add_argument("--max-prompts", type=_positive, default=16)
-    p.add_argument("--runs", type=_positive, default=5)
-    p.add_argument("--warmup", type=_non_negative, default=2)
+    p.add_argument("--runs", type=_positive, default=B.TPOT_RUNS)
+    p.add_argument("--warmup", type=_non_negative, default=B.TPOT_WARMUP)
     p.add_argument("--max-new", type=_positive)
     p.add_argument("--out", help="CSV with quality and latency per method")
 

@@ -21,6 +21,19 @@ from .tensor import Tensor
 TARGET_NAMES = LAYER_MATRICES
 
 
+@dataclass(frozen=True)
+class LoraConfig:
+    rank: int = 8
+    lora_alpha: float = 32.0
+    dropout: float = 0.1
+
+    def __post_init__(self):
+        # rank and dropout are checked before training, alpha only at save
+        if float(np.float32(self.lora_alpha)) != self.lora_alpha:
+            raise ConfigError(f"lora_alpha {self.lora_alpha!r} is not exact "
+                              f"in float32, which checkpoints store")
+
+
 @dataclass
 class LoraAdapter:
     a: Tensor
@@ -81,7 +94,8 @@ class AdapterSet:
             p.requires_grad = flag
 
 
-def init_adapters(weights: ModelWeights, rank: int = 8, lora_alpha: float = 32.0,
+def init_adapters(weights: ModelWeights, rank: int = LoraConfig.rank,
+                  lora_alpha: float = LoraConfig.lora_alpha,
                   rng: Optional[np.random.Generator] = None) -> AdapterSet:
     """One adapter per attention and FFN matrix of every layer."""
     if rng is None:
@@ -161,11 +175,12 @@ def merge(weights: ModelWeights, adapters: AdapterSet) -> ModelWeights:
             if ad is None:
                 updated[name] = w
                 continue
-            if ad.delta().shape != w.shape:
+            delta = ad.delta()
+            if delta.shape != w.shape:
                 raise ShapeError(
-                    f"adapter delta {ad.delta().shape} does not match "
+                    f"adapter delta {delta.shape} does not match "
                     f"layer {i} {name} {w.shape}")
-            updated[name] = Tensor(w.data + ad.delta())
+            updated[name] = Tensor(w.data + delta)
         new_layers.append(LayerWeights(
             **updated, attn_norm=lw.attn_norm, ffn_norm=lw.ffn_norm))
     adapters.merged = True

@@ -633,10 +633,9 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
             bt.accumulate_grad(_linear_weight_grad(la, gl))
         if xt is not None or at is not None:
             gla = gl @ bd
-            mask = None
-            if bits is not None:
-                kept = np.unpackbits(bits, count=x_size).view(bool).reshape(x_shape)
-                mask = _dropout_mask(kept, inv_keep, dtype)
+            # the keep-draw is unpacked inline, so it goes once the mask is formed
+            mask = None if bits is None else _dropout_mask(np.unpackbits(
+                bits, count=x_size).view(bool).reshape(x_shape), inv_keep, dtype)
             if at is not None:
                 # ``x * mask`` inline, so it is freed before the x-gradient
                 at.accumulate_grad(_linear_weight_grad(
@@ -645,6 +644,7 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float,
                 gx = gla @ ad
                 if mask is not None:
                     gx *= mask
+                    mask = None  # freed before the sum with x's held gradient
                 xt.accumulate_grad(gx)
 
     return _make(out, (xt, wt, at, bt), backward)

@@ -16,11 +16,6 @@ SEP = 259
 VOCAB_SIZE = 260
 
 
-def tokenize(text: bytes) -> list[int]:
-    """Encode a byte string as [BOS] bytes [EOS]."""
-    return [BOS, *text, EOS]
-
-
 def detokenize(ids) -> bytes:
     """Map ids back to bytes, dropping the special tokens."""
     out = bytearray()

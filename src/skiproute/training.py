@@ -26,7 +26,7 @@ from . import router as R
 from . import tensor as T
 from .data import Batch, Pair, encode_batch, iter_minibatches, seeded_streams
 from .errors import ConfigError, DatasetError, NumericalError
-from .lora import AdapterSet, adapted_project
+from .lora import AdapterSet, LoraConfig, adapted_project
 from .model import ModelConfig, ModelWeights
 from .router import RouterBank
 from .tensor import Tensor
@@ -73,6 +73,9 @@ def cosine_lr(step: int, total_steps: int, lr_min: float, lr_max: float) -> floa
 # parameter is updated on its own.
 ADAM_BUCKET = 1 << 15
 
+# the moments' decay rates and the floor added to √v̂, in every update
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _runs_with_grad(members: list):
     """The runs of consecutive bucket members whose parameter has a gradient."""
@@ -99,12 +102,10 @@ class Adam:
     instead of one pass per parameter. Every operation is elementwise, so
     each entry is rounded exactly as the per-parameter update rounds it."""
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # the positions of the parameters of each dtype, in order
         groups: dict = {}
@@ -139,7 +140,7 @@ class Adam:
         step of ``p -= lr·m̂ / (√v̂ + eps)``, each rounded in the order of
         the written expression."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for flat_m, flat_v, members in self._buckets:
             for run in _runs_with_grad(members):
@@ -149,7 +150,7 @@ class Adam:
                 c1: float, c2: float) -> None:
         """The update of one run of a bucket's parameters; its temporaries
         go when it returns."""
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         lo, hi = run[0][1], run[-1][2]
         m, v = flat_m[lo:hi], flat_v[lo:hi]
         g = np.concatenate([p.grad.reshape(-1) for p, _, _ in run], dtype=m.dtype)
@@ -162,7 +163,7 @@ class Adam:
         v += upd
         den = np.divide(v, c2)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         np.divide(m, c1, out=upd)
         upd *= lr
         upd /= den
@@ -416,7 +417,7 @@ def train_lora(config: ModelConfig, weights: ModelWeights, routers: RouterBank,
                adapters: AdapterSet, train_pairs: Sequence[Pair],
                val_pairs: Sequence[Pair], tc: TrainConfig,
                log_path: Optional[str] = None,
-               dropout: float = 0.1) -> TrainResult:
+               dropout: float = LoraConfig.dropout) -> TrainResult:
     """Phase 2: adapters compensate; routers and base weights are frozen.
 
     The skip penalty keeps its pressure direction but is divided by

@@ -22,7 +22,7 @@ import skiproute.tensor as T
 import skiproute.training as TR
 from skiproute import cli
 from skiproute.cli import main
-from skiproute.config import load_experiment
+from skiproute.config import ExperimentConfig, load_experiment
 from skiproute.tokenizer import EOS, detokenize, frame_prompt
 
 TINY_INI = """\
@@ -98,7 +98,9 @@ def test_init_leaves_existing_config_alone(tmp_path):
 def test_init_writes_default_config(tmp_path):
     cfg = tmp_path / "fresh.ini"
     assert main(["init", "--config", str(cfg)]) == 0
-    assert "[model]" in cfg.read_text()
+    assert load_experiment(str(cfg)) == ExperimentConfig(
+        model=M.ModelConfig(), task=D.TaskSpec(kind="copy"),
+        train=TR.TrainConfig(), sampler=M.SamplerConfig(), lora=L.LoraConfig())
 
 
 def test_pipeline_artifacts_exist(workdir):

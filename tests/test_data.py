@@ -10,19 +10,13 @@ from skiproute.errors import DatasetError, VocabularyError
 
 
 class TestTokenizer:
-    def test_ab(self):
-        assert tok.tokenize(b"ab") == [tok.BOS, 97, 98, tok.EOS]
-
-    def test_empty(self):
-        assert tok.tokenize(b"") == [tok.BOS, tok.EOS]
-
     def test_round_trip(self):
         for x in (b"", b"hello", bytes(range(256))):
-            assert tok.detokenize(tok.tokenize(x)) == x
+            assert tok.detokenize(tok.frame_prompt(x)) == x
 
     @given(st.binary(max_size=64))
     def test_round_trip_property(self, x):
-        assert tok.detokenize(tok.tokenize(x)) == x
+        assert tok.detokenize(tok.frame_prompt(x)) == x
 
     def test_detokenize_drops_specials(self):
         assert tok.detokenize([tok.BOS, 104, tok.PAD, 105, tok.SEP, tok.EOS]) == b"hi"

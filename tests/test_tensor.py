@@ -516,12 +516,11 @@ class TestAdaptedLinear:
         rank_wide = out.size // 48 * 8 * x.data.itemsize
         assert held - out.data.nbytes <= -(-x.size // 8) + rank_wide + NODE_OVERHEAD_BYTES
 
-    def test_dropout_backward_holds_no_masked_input_at_its_peak(self):
-        """One dropout backward at ``w_down``'s shape, (16, 18, 256) → 64.
-        At its peak, x's gradient from the base product, the low-rank
-        x-gradient and their sum are live beside the float mask and the
-        unpacked keep-draw; ``x * mask``, which only A's gradient reads, is
-        gone by then."""
+    @staticmethod
+    def _dropout_backward_peak():
+        """The traced peak of one dropout backward at ``w_down``'s shape,
+        (16, 18, 256) → 64, with the input's and the output's sizes in
+        bytes and the input's entry count."""
         rng = np.random.default_rng(12)
         x = T.Tensor(rng.normal(size=(16, 18, 256)).astype(np.float32), requires_grad=True)
         w = T.Tensor(rng.normal(scale=0.05, size=(64, 256)).astype(np.float32))
@@ -533,11 +532,25 @@ class TestAdaptedLinear:
         out = T.adapted_linear(x, w, a, b, 4.0, keep, inv_keep)
         seed = rng.normal(size=out.shape).astype(np.float32)
         _, peak = peak_bytes(lambda: out.backward(seed))
+        return peak, x.data.nbytes, out.data.nbytes, x.size
+
+    def test_dropout_backward_holds_no_masked_input_at_its_peak(self):
+        """``x * mask``, which only A's gradient reads, is gone before the
+        x-gradient is formed."""
+        peak, size, out_size, n = self._dropout_backward_peak()
         # the seed's copy and its scaled form are output-sized; an eighth of
         # an input covers the rank-wide products, the adapter gradients and
         # the Python objects
-        size = x.data.nbytes
-        assert peak <= 4 * size + x.size + 2 * out.data.nbytes + size // 8
+        assert peak <= 4 * size + n + 2 * out_size + size // 8
+
+    def test_dropout_backward_frees_the_mask_before_the_x_gradient_sum(self):
+        """The keep-draw goes once the mask is formed, and the mask once the
+        low-rank x-gradient is masked. At the peak three input-sized arrays
+        are live: x's gradient from the base product with either the mask
+        and ``x * mask`` (A's gradient) or the low-rank x-gradient and the
+        sum of the two."""
+        peak, size, out_size, _ = self._dropout_backward_peak()
+        assert peak <= 3 * size + 2 * out_size + size // 8
 
 
 class TestMeanSum:

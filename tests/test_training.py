@@ -124,7 +124,7 @@ def test_adam_requires_parameters():
 def _reference_adam_step(opt, lr):
     """``Adam.step`` as the plain expression it computes in place."""
     opt.t += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = TR.ADAM_BETA1, TR.ADAM_BETA2
     for p, m, v in zip(opt.params, opt.m, opt.v):
         g = p.grad
         if g is None:
@@ -135,7 +135,7 @@ def _reference_adam_step(opt, lr):
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1**opt.t)
         v_hat = v / (1 - b2**opt.t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + opt.eps)).astype(p.data.dtype)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)).astype(p.data.dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
